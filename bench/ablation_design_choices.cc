@@ -26,10 +26,9 @@ namespace {
 // The ablation rows repeat whole-suite evaluations with overlapping
 // (sched-machine, options) pairs — e.g. the "default" configuration
 // appears in three tables — and row 4 deliberately times one schedule
-// on a *different* machine.  Shared caches make this the canonical
-// execute-once / time-many shape: the trace is keyed by the compile
-// key of the machine scheduled *for*, then timed on whatever machine
-// is measured.
+// on a *different* machine.  Shared caches record a trace only for a
+// compile key timed again, keyed by the machine scheduled *for*, and
+// time it on whatever machine is measured.
 CompileCache &
 compiles()
 {
@@ -50,15 +49,8 @@ timeOn(const Workload &w, const MachineConfig &sched_machine,
 {
     std::shared_ptr<const Module> scheduled =
         compiles().compile(w, sched_machine, o);
-    if (!traces().enabled())
-        return runOnMachine(*scheduled, timing_machine);
-    std::shared_ptr<const TraceArtifact> artifact = traces().execute(
-        CompileCache::key(w, sched_machine, o), *scheduled);
-    if (!artifact->replayable) {
-        traces().noteFallback();
-        return runOnMachine(*scheduled, timing_machine);
-    }
-    return timeTrace(*artifact, timing_machine);
+    return traces().timedRun(CompileCache::key(w, sched_machine, o),
+                             *scheduled, timing_machine);
 }
 
 double

@@ -91,8 +91,8 @@ main()
     live.setHeader({"configuration", "instructions", "base cycles",
                     "parallelism"});
     // Through the study: the availableParallelism calls below hit the
-    // same compile keys, so each configuration is executed once and
-    // replayed thereafter.
+    // same compile keys, so each configuration is timed live once and
+    // then recorded and replayed.
     RunOutcome r1 = study.timedRun(w, idealSuperscalar(8), o1);
     RunOutcome r2 = study.timedRun(w, idealSuperscalar(8), o2);
     live.row()

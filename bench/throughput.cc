@@ -8,6 +8,10 @@
 
 #include <chrono>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "bench/common.hh"
 #include "core/study/driver.hh"
 #include "core/study/experiment.hh"
@@ -153,8 +157,9 @@ void
 BM_LiveRun(benchmark::State &state)
 {
     // The coupled path: every iteration re-executes the workload
-    // functionally while timing it (runOnMachine).  Compare against
-    // BM_TraceReplay for the execute-once / time-many win.
+    // functionally while timing it (runOnMachine) — a compile key's
+    // first timing.  Against BM_TraceRecord + BM_TraceReplay it
+    // prices the live-first / record-on-reuse rule.
     const Workload &w = wl();
     CompileOptions o = defaultCompileOptions(w);
     MachineConfig mc = idealSuperscalar(4);
@@ -180,8 +185,8 @@ BM_TraceReplay(benchmark::State &state)
 {
     // The split path: one functional execution up front
     // (executeWorkload), then each iteration is pure timing over the
-    // packed trace (timeTrace) — the steady-state cost of a sweep
-    // cell once the TraceCache is warm.
+    // packed trace (timeTrace) — the cost of a timing once its
+    // compile key has been recorded.
     const Workload &w = wl();
     CompileOptions o = defaultCompileOptions(w);
     MachineConfig mc = idealSuperscalar(4);
@@ -204,6 +209,45 @@ BM_TraceReplay(benchmark::State &state)
         wall > 0.0 ? static_cast<double>(instrs) / wall : 0.0, state);
 }
 BENCHMARK(BM_TraceReplay)->Unit(benchmark::kMillisecond);
+
+void
+BM_TraceRecord(benchmark::State &state)
+{
+    // The recording half alone: each iteration packs a whole trace
+    // (executeWorkload), first-touch page faults included — what a
+    // compile key pays when it is timed a second time.  Freed pages
+    // go back to the OS between iterations, so every recording
+    // touches fresh memory as it does in a sweep.
+    const Workload &w = wl();
+    CompileOptions o = defaultCompileOptions(w);
+    MachineConfig mc = idealSuperscalar(4);
+    Module m = compileWorkload(w.source, mc, o);
+    std::uint64_t instrs = 0;
+    std::size_t bytes = 0;
+    double wall = 0.0;
+    for (auto _ : state) {
+        const auto t0 = BenchClock::now();
+        TraceArtifact artifact = executeWorkload(m);
+        wall += secondsSince(t0);
+        instrs += artifact.result.instructions;
+        bytes = artifact.byteSize();
+        benchmark::DoNotOptimize(artifact.trace.size());
+        state.PauseTiming();
+        artifact = TraceArtifact{};
+#ifdef __GLIBC__
+        malloc_trim(0);
+#endif
+        state.ResumeTiming();
+    }
+    state.counters["instr/s"] = benchmark::Counter(
+        static_cast<double>(instrs), benchmark::Counter::kIsRate);
+    state.counters["trace_mb"] =
+        static_cast<double>(bytes) / (1024.0 * 1024.0);
+    recordRateSample(
+        "BM_TraceRecord", "instr_per_s",
+        wall > 0.0 ? static_cast<double>(instrs) / wall : 0.0, state);
+}
+BENCHMARK(BM_TraceRecord)->Unit(benchmark::kMillisecond);
 
 void
 BM_ProfiledReplay(benchmark::State &state)

@@ -33,6 +33,8 @@ TRACE_JSON="$BUILD_DIR/check_trace.json"
 echo "== profile smoke =="
 # The cycle profiler must render a hot-loop listing, emit valid JSON,
 # and be byte-identical live vs trace-replay and serial vs parallel.
+# A key's first timing runs live and only a second one records and
+# replays, so the replay comparison profiles sp4 twice (--diff).
 PROF_JSON="$BUILD_DIR/check_profile.json"
 PROF_JSON_PAR="$BUILD_DIR/check_profile_par.json"
 PROF_JSON_LIVE="$BUILD_DIR/check_profile_live.json"
@@ -46,10 +48,13 @@ grep -q 'raw_latency' "$BUILD_DIR/check_profile.txt"
     --machine sp4 --jobs 8 --profile-json "$PROF_JSON_PAR" \
     > /dev/null
 cmp "$PROF_JSON" "$PROF_JSON_PAR"
+PROF_DIFF_JSON="$BUILD_DIR/check_profile_twice.json"
 "$BUILD_DIR/src/cli/ssim" profile examples/mt/dotprod.mt \
-    --machine sp4 --trace-budget 0 --profile-json "$PROF_JSON_LIVE" \
+    --diff sp4 sp4 --profile-json "$PROF_DIFF_JSON" > /dev/null
+"$BUILD_DIR/src/cli/ssim" profile examples/mt/dotprod.mt \
+    --diff sp4 sp4 --trace-budget 0 --profile-json "$PROF_JSON_LIVE" \
     > /dev/null
-cmp "$PROF_JSON" "$PROF_JSON_LIVE"
+cmp "$PROF_DIFF_JSON" "$PROF_JSON_LIVE"
 "$BUILD_DIR/src/cli/ssim" profile examples/mt/dotprod.mt \
     --diff base sp4 > "$BUILD_DIR/check_profile_diff.txt"
 grep -q 'speedup B/A' "$BUILD_DIR/check_profile_diff.txt"
@@ -115,20 +120,42 @@ SSIM_JOBS=2 "$BUILD_DIR/src/cli/ssim" suite --machine ss4 \
 "$BUILD_DIR/src/cli/ssim" check-json "$STATS_JSON"
 
 echo "== trace cache smoke =="
-# Execute-once/time-many must be invisible in the output: a suite run
-# and an ilp sweep with the trace cache on must be byte-identical to
-# the live-interpretation path (SSIM_TRACE_BUDGET=0 disables caching).
+# Live first, record on reuse, must be invisible in the output: a
+# compile key's first timing runs live and its second records a trace
+# and replays it.  Each run below has such cells — `suite --machine
+# base` times every program's base key twice (base cycles, then the
+# machine), and in `ilp` degree 1 shares the base machine's key — and
+# must be byte-identical to the never-recording path
+# (SSIM_TRACE_BUDGET=0); the metrics show a trace was recorded.
 TRACE_LIVE="$BUILD_DIR/check_trace_live.txt"
 TRACE_REPLAY="$BUILD_DIR/check_trace_replay.txt"
-SSIM_TRACE_BUDGET=0 "$BUILD_DIR/src/cli/ssim" suite --machine ss4 \
+TRACE_METRICS="$BUILD_DIR/check_trace_metrics.json"
+assert_trace_recorded() {
+    awk '
+        /"ssim_trace_cache_bytes"/ { inside = 1 }
+        inside && /"value":/ {
+            gsub(/[^0-9]/, ""); bytes = $0 + 0; inside = 0
+        }
+        END {
+            if (bytes == 0) {
+                print "no trace was recorded: the smoke compared " \
+                      "live output with live output"
+                exit 1
+            }
+        }' "$1"
+}
+SSIM_TRACE_BUDGET=0 "$BUILD_DIR/src/cli/ssim" suite --machine base \
     > "$TRACE_LIVE"
-"$BUILD_DIR/src/cli/ssim" suite --machine ss4 > "$TRACE_REPLAY"
+"$BUILD_DIR/src/cli/ssim" suite --machine base \
+    --metrics-json "$TRACE_METRICS" > "$TRACE_REPLAY"
 cmp "$TRACE_LIVE" "$TRACE_REPLAY"
+assert_trace_recorded "$TRACE_METRICS"
 SSIM_TRACE_BUDGET=0 "$BUILD_DIR/src/cli/ssim" ilp \
     examples/mt/dotprod.mt > "$TRACE_LIVE"
 "$BUILD_DIR/src/cli/ssim" ilp examples/mt/dotprod.mt \
-    > "$TRACE_REPLAY"
+    --metrics-json "$TRACE_METRICS" > "$TRACE_REPLAY"
 cmp "$TRACE_LIVE" "$TRACE_REPLAY"
+assert_trace_recorded "$TRACE_METRICS"
 
 echo "== what-if smoke =="
 # The analytic engine must answer whatif queries (valid JSON, a

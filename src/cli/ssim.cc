@@ -42,10 +42,12 @@
  *   --homes N        home registers                 (default 26)
  *   --jobs N         sweep worker threads for ilp/suite
  *                    (default: SSIM_JOBS, then all cores)
- *   --trace-budget B ilp/suite: byte budget for the shared trace
- *                    cache, with optional k/m/g suffix; 0 disables
- *                    caching (default: SSIM_TRACE_BUDGET, then 2g;
- *                    see docs/parallel-sweeps.md)
+ *   --trace-budget B ilp/suite/profile/whatif: byte budget for the
+ *                    traces recorded when a compile key is timed
+ *                    again (its first timing always runs live), with
+ *                    optional k/m/g suffix; 0 never records (default:
+ *                    SSIM_TRACE_BUDGET, then 2g; see
+ *                    docs/parallel-sweeps.md)
  *   --keep-going     ilp/suite: a failing sweep cell is reported in
  *                    place (error code + text) while the remaining
  *                    cells still run; exit stays nonzero
@@ -1021,8 +1023,9 @@ cmdIlp(const Cli &cli)
     Workload w{cli.file, "user program", readFile(cli.file), 0, false,
                1};
     // One cell per degree; the study's compile cache shares the base
-    // compile, its trace cache shares the functional executions, and
-    // their future-based memos keep the sweep race-free.
+    // compile, its trace cache records the key timed twice (base and
+    // degree 1) and replays it, and their future-based memos keep the
+    // sweep race-free.
     Study study(cli.jobs);
     if (cli.traceBudgetSet)
         study.traceCache().setBudget(cli.traceBudget);

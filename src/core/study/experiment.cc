@@ -59,7 +59,7 @@ Study::baseCycles(const Workload &workload,
             fill->set_exception(std::current_exception());
         }
     }
-    return future.get();
+    return sharedGet(future);
 }
 
 RunOutcome
@@ -72,27 +72,12 @@ Study::timedRun(const Workload &workload, const MachineConfig &machine,
     CompileTelemetry compile;
     std::shared_ptr<const Module> module = cache_.compile(
         workload, machine, options, want ? &compile : nullptr);
-    const CompileTelemetry *ct = want ? &compile : nullptr;
-
-    if (!trace_cache_.enabled())
-        return runOnMachine(*module, machine, telemetry, ct);
-
-    // The trace depends only on the compiled module, so the artifact
-    // is keyed by the compile key: machines sharing a compilation
-    // share one functional execution.
-    std::shared_ptr<const TraceArtifact> artifact =
-        trace_cache_.execute(CompileCache::key(workload, machine,
-                                               options),
-                             *module);
-    if (!artifact->replayable) {
-        trace_cache_.noteFallback();
-        // Graceful degradation under memory pressure / non-packable
-        // traces: the cell still completes, via live interpretation;
-        // hardened sweeps count it as degraded rather than failed.
-        noteDegradedCell();
-        return runOnMachine(*module, machine, telemetry, ct);
-    }
-    return timeTrace(*artifact, machine, telemetry, ct);
+    // The trace depends only on the compiled module, so it is keyed
+    // by the compile key: machines sharing a compilation share one
+    // recording once the key is timed again.
+    return trace_cache_.timedRun(
+        CompileCache::key(workload, machine, options), *module,
+        machine, telemetry, want ? &compile : nullptr);
 }
 
 prof::Profile

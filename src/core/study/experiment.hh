@@ -9,10 +9,13 @@
  * evaluated* (the paper's system recompiles per machine
  * specification) — but compilations are shared through a
  * CompileCache, so two machines the compiler cannot tell apart reuse
- * one Module; functional executions are shared through a TraceCache
- * keyed by the same compile key, so each shared Module is executed
- * once and *timed* many times (timeTrace); and base-machine
- * reference cycles are memoized per compile configuration.
+ * one Module; timings go through a TraceCache keyed by the same
+ * compile key, which times a key's first use live and records a
+ * trace only when the key is timed again, replaying it from then on
+ * (live first, record on reuse: a recording costs ~41 ns per dynamic
+ * instruction against ~26 ns live and ~20.5 ns per replay); and
+ * base-machine reference cycles are memoized per compile
+ * configuration.
  *
  * A Study is safe to use from many threads at once: the compile
  * cache, the trace cache and the base-cycle memo are all future-based
@@ -66,13 +69,14 @@ class Study
                    const MachineConfig &machine);
 
     /**
-     * Compile (via the compile cache), execute once (via the trace
-     * cache) and time `workload` on `machine` — the study-level
+     * Compile (via the compile cache) and time `workload` on
+     * `machine` through the trace cache (live on the compile key's
+     * first timing, recorded and replayed after) — the study-level
      * equivalent of runWorkload(), byte-identical to it whether the
-     * caches hit, miss, or are disabled.  Non-replayable artifacts
-     * (trapped runs, traces over budget) fall back to live
-     * interpretation transparently; a trapped run surfaces through
-     * RunOutcome::trap exactly as on the live path.
+     * caches hit, miss, or are disabled.  Non-replayable recordings
+     * (trapped runs, traces over budget) fall back to live timing
+     * transparently; a trapped run surfaces through RunOutcome::trap
+     * exactly as on the live path.
      */
     RunOutcome timedRun(const Workload &workload,
                         const MachineConfig &machine,
@@ -113,19 +117,16 @@ class Study
     CompileCache &compileCache() { return cache_; }
     const CompileCache &compileCache() const { return cache_; }
 
-    /** Shared functional executions (budget control, hit accounting
+    /** Shared recorded executions (budget control, hit accounting
      *  and stats export). */
     TraceCache &traceCache() { return trace_cache_; }
     const TraceCache &traceCache() const { return trace_cache_; }
 
     /**
      * The dynamic dependence graph of `workload` compiled for
-     * `machine` (cached per compile key, exactly like the trace it
-     * is built from).  Prefers the cached packed trace; a
-     * non-replayable artifact (trace over budget, cache disabled)
-     * falls back to streaming the graph straight out of live
-     * interpretation — same graph either way.  Throws TrapException
-     * when the workload faults.
+     * `machine`, cached per compile key and streamed straight out of
+     * live execution (no trace is recorded for it).  Throws
+     * TrapException when the workload faults.
      */
     std::shared_ptr<const DepGraph>
     dependenceGraph(const Workload &workload,

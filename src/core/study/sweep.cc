@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <new>
 #include <thread>
 
 #include "core/study/progress.hh"
@@ -108,6 +109,20 @@ runSweepCell(const std::function<void(std::size_t)> &fn, std::size_t i)
 }
 
 } // namespace
+
+void
+rethrowOwnCopy()
+{
+    try {
+        throw;
+    } catch (const TrapException &e) {
+        throw TrapException(e.trap());
+    } catch (const DiagException &e) {
+        throw DiagException(e.diags());
+    } catch (const std::bad_alloc &) {
+        throw std::bad_alloc();
+    }
+}
 
 void
 noteDegradedCell()
@@ -429,7 +444,7 @@ CompileCache::compile(const Workload &workload,
         }
     }
 
-    const Compiled &c = future.get(); // rethrows a failed compile
+    const Compiled &c = sharedGet(future); // rethrows a failed compile
     if (telemetry)
         *telemetry = c.telemetry;
     return c.module;

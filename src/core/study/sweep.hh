@@ -47,6 +47,33 @@
 namespace ilp {
 
 /**
+ * Inside a catch handler: rethrow a fresh copy of the caught
+ * TrapException, DiagException or std::bad_alloc (anything else is
+ * rethrown as is).
+ */
+[[noreturn]] void rethrowOwnCopy();
+
+/**
+ * shared_future::get() for the future-based caches, where every
+ * waiter of a failed producer would otherwise rethrow one shared
+ * exception object.  Its reference count lives in the C++ runtime,
+ * which ThreadSanitizer does not see, so freeing it in one worker
+ * reads as a race with another worker's use.  Each caller gets its
+ * own copy instead; the shared object is freed with the future's
+ * state, after every waiter let go of it.
+ */
+template <typename T>
+const T &
+sharedGet(const std::shared_future<T> &future)
+{
+    try {
+        return future.get();
+    } catch (...) {
+        rethrowOwnCopy();
+    }
+}
+
+/**
  * Worker count used when a SweepRunner is built without an explicit
  * job count: SSIM_JOBS when set to a positive integer, otherwise the
  * hardware concurrency (at least 1).  A malformed SSIM_JOBS warns and
@@ -126,9 +153,10 @@ struct HardenedSweep
     HardeningTotals totals;
 };
 
-/** Record that the current cell attempt degraded to live
- *  interpretation (called from Study::timedRun's fallback path;
- *  no-op outside a hardened cell). */
+/** Record that the current cell attempt degraded to live timing
+ *  because its recorded trace was not replayable (called from
+ *  TraceCache::timedRun's fallback path; no-op outside a hardened
+ *  cell). */
 void noteDegradedCell();
 
 namespace detail {

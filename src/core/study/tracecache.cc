@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 
+#include "core/study/sweep.hh"
 #include "sim/trap.hh"
 #include "support/faultinject.hh"
 #include "support/logging.hh"
@@ -29,7 +30,7 @@ traceHits()
 {
     static metrics::Counter &c = traceCacheCounter(
         "ssim_trace_cache_hits_total",
-        "Trace-cache lookups served from an existing entry.");
+        "Trace-cache lookups served from a recording (replays).");
     return c;
 }
 
@@ -38,7 +39,7 @@ traceMisses()
 {
     static metrics::Counter &c = traceCacheCounter(
         "ssim_trace_cache_misses_total",
-        "Trace-cache lookups that had to execute.");
+        "Trace-cache lookups that executed, live or recorded.");
     return c;
 }
 
@@ -56,7 +57,8 @@ traceFallbacks()
 {
     static metrics::Counter &c = traceCacheCounter(
         "ssim_trace_cache_fallbacks_total",
-        "Timing runs interpreted live (non-replayable artifact).");
+        "Timings run live because their recording was not "
+        "replayable.");
     return c;
 }
 
@@ -67,6 +69,15 @@ traceBytesHeld()
         "ssim_trace_cache_bytes",
         "Trace bytes currently accounted against the budget.");
     return g;
+}
+
+/** A deadline or transient-fault trap belongs to one attempt, not to
+ *  the module: it must fail the attempt, never be kept. */
+bool
+attemptTrap(const Trap &trap)
+{
+    return trap.valid() && (errCodeTransient(trap.code) ||
+                            trap.code == ErrCode::TrapDeadlineExceeded);
 }
 
 } // namespace
@@ -161,10 +172,60 @@ TraceCache::evictLocked()
 }
 
 void
-TraceCache::noteFallback()
+TraceCache::countMiss()
 {
-    fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    traceFallbacks().inc();
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    traceMisses().inc();
+}
+
+RunOutcome
+TraceCache::timedRun(const std::string &key, const Module &module,
+                     const MachineConfig &machine,
+                     const RunTelemetryOptions &telemetry,
+                     const CompileTelemetry *compile)
+{
+    bool live = false;
+    bool first = false;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        live = budget_ == 0;
+        first = !live && timed_.insert(key).second;
+    }
+    if (live)
+        return runOnMachine(module, machine, telemetry, compile);
+
+    if (!first) {
+        std::shared_ptr<const TraceArtifact> artifact =
+            execute(key, module);
+        if (artifact->replayable)
+            return timeTrace(*artifact, machine, telemetry, compile);
+        // Graceful degradation under memory pressure / non-packable
+        // traces: the timing still completes live; hardened sweeps
+        // count the cell as degraded rather than failed.
+        fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        traceFallbacks().inc();
+        noteDegradedCell();
+        return runOnMachine(module, machine, telemetry, compile);
+    }
+
+    // First timing of the key: nothing shows it will be reused yet,
+    // so time it live and record nothing.
+    countMiss();
+    try {
+        if (fault::enabled())
+            fault::maybeInject("execute");
+        RunOutcome out =
+            runOnMachine(module, machine, telemetry, compile);
+        if (attemptTrap(out.trap))
+            throw TrapException(out.trap);
+        return out;
+    } catch (...) {
+        // The attempt did not time the key: a retry is a first
+        // timing again.
+        std::lock_guard<std::mutex> lock(mu_);
+        timed_.erase(key);
+        throw;
+    }
 }
 
 std::shared_ptr<const TraceArtifact>
@@ -191,8 +252,7 @@ TraceCache::execute(const std::string &key, const Module &module)
     }
 
     if (fill) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        traceMisses().inc();
+        countMiss();
         try {
             if (fault::enabled())
                 fault::maybeInject("execute");
@@ -201,17 +261,13 @@ TraceCache::execute(const std::string &key, const Module &module)
             // than blowing past the budget.
             auto art = std::make_shared<const TraceArtifact>(
                 executeWorkload(module, cap));
-            // A deadline or transient-fault trap is a property of
-            // this *attempt*, not of the module: caching it would
-            // poison every later request (including untimed resumes),
-            // so it propagates as a failure and the entry is evicted
-            // — the retry re-executes.  Genuine workload traps stay
-            // cached as non-replayable artifacts (live fallback).
-            const Trap &trap = art->result.trap;
-            if (trap.valid() &&
-                (errCodeTransient(trap.code) ||
-                 trap.code == ErrCode::TrapDeadlineExceeded))
-                throw TrapException(trap);
+            // Caching an attempt's trap would poison every later
+            // request (including untimed resumes), so it propagates
+            // as a failure and the entry is evicted — the retry
+            // re-executes.  Genuine workload traps stay cached as
+            // non-replayable artifacts (live fallback).
+            if (attemptTrap(art->result.trap))
+                throw TrapException(art->result.trap);
             if (fault::enabled())
                 fault::maybeInject("tracecache.insert");
             const std::size_t bytes = art->byteSize();
@@ -258,7 +314,7 @@ TraceCache::execute(const std::string &key, const Module &module)
         }
     }
 
-    return future.get(); // rethrows a failed execution
+    return sharedGet(future); // rethrows a failed execution
 }
 
 std::size_t
@@ -283,7 +339,7 @@ TraceCache::exportStats(stats::Group &g) const
     g.counter("evictions", "entries dropped to fit the byte budget")
         .inc(evictions());
     g.counter("fallbacks",
-              "timing runs interpreted live (non-replayable artifact)")
+              "timings run live (recording not replayable)")
         .inc(fallbacks());
     g.counter("entries", "distinct executions held").inc(size());
     g.counter("bytes_held", "trace bytes accounted against the budget")

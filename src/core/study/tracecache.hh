@@ -1,31 +1,39 @@
 /**
  * @file
- * TraceCache: the execute-once store of the execute-once / time-many
- * split.
+ * TraceCache: live first, record on reuse.
  *
  * A functional execution depends only on the compiled Module, never
- * on the machine being timed, so a sweep over N machines that share a
- * CompileCache entry needs exactly one execution — the artifact is
- * keyed by the *compile* key (CompileCache::key) and every timing run
- * replays it.  Like CompileCache, the cache is future-based: the
- * first requester of a key executes, concurrent requesters park on
- * the entry's shared_future, so one functional execution per key is a
- * structural guarantee, not a race outcome.
+ * on the machine being timed, so the packed dynamic stream of one
+ * compile key (CompileCache::key) can be timed against any number of
+ * machines by replay.  Recording is not free, though: packing a trace
+ * (executeWorkload) costs ~41 ns per dynamic instruction, ~18 ns of
+ * it first-touch page faults at 20 bytes per instruction, while a
+ * fused live timing (runOnMachine) costs ~26 ns and a replay
+ * (timeTrace) ~20.5 ns — a trace pays back only after ~8 timings of
+ * one key.  So timedRun() decides by observed reuse: the first
+ * timing of a key runs live and records nothing; the second records
+ * the packed trace and replays it; later timings replay.
  *
- * Packed traces are large (20 bytes per dynamic instruction), so the
- * cache holds a global byte budget (--trace-budget /
- * SSIM_TRACE_BUDGET, default 2 GiB): recording is capped at the
- * budget, completed entries are accounted per-entry and evicted LRU
- * while the total exceeds the budget, and a trace that cannot be
- * recorded within the budget — or a run that trapped — yields a
- * non-replayable artifact that consumers time via live interpretation
- * instead (see Study::timedRun).  A budget of 0 disables the cache
- * entirely, which is the byte-compare control used by check.sh.
+ * Like CompileCache, recording is future-based: the first recorder
+ * of a key executes, concurrent requesters park on the entry's
+ * shared_future, so at most one recording per key is a structural
+ * guarantee, not a race outcome.
  *
- * Hit/miss/eviction/fallback counters are exported on demand via
- * exportStats (like CompileCache's) and deliberately never folded
- * into per-run stats snapshots: eviction order depends on thread
- * interleaving, and cached and uncached runs must stay byte-identical.
+ * Packed traces are large, so the cache holds a global byte budget
+ * (--trace-budget / SSIM_TRACE_BUDGET, default 2 GiB): recording is
+ * capped at the budget, completed entries are accounted per-entry
+ * and evicted LRU while the total exceeds the budget, and a trace
+ * that cannot be recorded within the budget — or a run that trapped
+ * — yields a non-replayable artifact that timedRun() times live
+ * instead (a fallback).  A budget of 0 never records: every timing
+ * runs live, the byte-compare control used by check.sh.
+ *
+ * A miss is a lookup that executed, live or recorded; a hit is a
+ * replay of a held (or in-flight) recording.  Hit/miss/eviction/
+ * fallback counters are exported on demand via exportStats (like
+ * CompileCache's) and deliberately never folded into per-run stats
+ * snapshots: eviction order depends on thread interleaving, and
+ * cached and uncached runs must stay byte-identical.
  */
 
 #ifndef SUPERSYM_CORE_STUDY_TRACECACHE_HH
@@ -37,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 
 #include "core/study/driver.hh"
@@ -56,7 +65,8 @@ bool parseByteSize(const std::string &text, std::size_t &out);
 std::size_t defaultTraceBudget();
 
 /**
- * Concurrency-safe, byte-budgeted cache of functional executions.
+ * Concurrency-safe, byte-budgeted cache of functional executions,
+ * recorded only for keys that are timed more than once.
  *
  * Keys are caller-supplied strings — in practice CompileCache::key —
  * because the artifact's identity is exactly the compiled module's.
@@ -69,7 +79,7 @@ class TraceCache
     {
     }
 
-    /** A zero budget disables caching; callers run live instead. */
+    /** A zero budget disables recording; every timing runs live. */
     bool enabled() const { return budget() > 0; }
 
     std::size_t
@@ -84,26 +94,36 @@ class TraceCache
     void setBudget(std::size_t bytes);
 
     /**
-     * The functional execution for `key`, executing `module` on first
+     * Time `module` (compiled under `key`) on `machine`: live on the
+     * key's first timing, recording and replaying on the second,
+     * replaying after that.  Byte-identical to runOnMachine() on
+     * every path.  A transient or deadline trap throws TrapException
+     * and leaves the key untimed, so a retry starts over.  A
+     * recording that is not replayable is timed live, counted in
+     * fallbacks() and noted as a degraded sweep cell.
+     */
+    RunOutcome timedRun(const std::string &key, const Module &module,
+                        const MachineConfig &machine,
+                        const RunTelemetryOptions &telemetry = {},
+                        const CompileTelemetry *compile = nullptr);
+
+    /**
+     * The recorded execution for `key`, executing `module` on first
      * use.  Concurrent requesters of one key share a single
      * execution.  The artifact may be non-replayable (trapped, or
-     * trace over budget); callers must then fall back to live
-     * interpretation and record it via noteFallback().
+     * trace over budget).  timedRun() calls this once a key is timed
+     * again.
      */
     std::shared_ptr<const TraceArtifact>
     execute(const std::string &key, const Module &module);
 
-    /** Record that a caller had to interpret live because the
-     *  artifact was not replayable. */
-    void noteFallback();
-
-    /** Lookups served from an existing entry. */
+    /** Lookups served from a recording (replays). */
     std::uint64_t hits() const { return hits_.load(); }
-    /** Lookups that had to execute. */
+    /** Lookups that executed, live or recorded. */
     std::uint64_t misses() const { return misses_.load(); }
     /** Entries discarded to fit the byte budget. */
     std::uint64_t evictions() const { return evictions_.load(); }
-    /** Timing runs that fell back to live interpretation. */
+    /** Timings whose recording was not replayable, so ran live. */
     std::uint64_t fallbacks() const { return fallbacks_.load(); }
 
     /** Distinct executions held. */
@@ -132,8 +152,12 @@ class TraceCache
      *  bytes fit the budget.  Caller holds mu_. */
     void evictLocked();
 
+    void countMiss();
+
     mutable std::mutex mu_;
     std::map<std::string, Entry> entries_;
+    /** Keys timed at least once: the next timing records. */
+    std::set<std::string> timed_;
     std::size_t budget_;
     std::size_t bytes_held_ = 0;
     std::uint64_t use_clock_ = 0;

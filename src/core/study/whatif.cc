@@ -105,7 +105,7 @@ DepGraphCache::get(const std::string &key,
             entries_.erase(key);
         }
     }
-    return future.get();
+    return sharedGet(future);
 }
 
 std::size_t
@@ -152,20 +152,8 @@ Study::dependenceGraph(const Workload &workload,
     const std::string key =
         CompileCache::key(workload, machine, options);
     return graph_cache_.get(key, [&]() -> DepGraph {
-        // Prefer the packed trace (shared with the timing replays of
-        // the same compile key).
-        if (trace_cache_.enabled()) {
-            std::shared_ptr<const TraceArtifact> artifact =
-                trace_cache_.execute(key, *module);
-            if (artifact->result.trapped())
-                throw TrapException(artifact->result.trap);
-            if (artifact->replayable)
-                return DepGraph::build(artifact->trace);
-            trace_cache_.noteFallback();
-        }
-        // Cache disabled or trace over budget: stream the graph
-        // straight out of live execution — identical result on
-        // either backend.
+        // The graph cache keeps the result, so stream the graph
+        // straight out of live execution — no trace is recorded.
         DepGraph::Builder builder;
         std::unique_ptr<Executor> exec = makeExecutor(*module);
         RunResult r = exec->run("main", &builder);

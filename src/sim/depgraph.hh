@@ -1,12 +1,12 @@
 /**
  * @file
- * The dynamic dependence graph: analytic "what-if" timing over a
- * recorded trace, without re-simulation.
+ * The dynamic dependence graph: analytic "what-if" timing over one
+ * execution, without re-simulation.
  *
- * A machine sweep replays one PackedTrace against many machine
+ * A machine sweep times one dynamic stream against many machine
  * configurations, paying the full issue-engine walk per config even
  * though the *dependences* in the stream never change.  DepGraph
- * factors that walk: one build pass over the trace resolves every
+ * factors that walk: one build pass over the stream resolves every
  * timing-relevant dependence into a fixed topology —
  *
  *  - true register dependences (last writer in program order; the
@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "core/machine/machine.hh"
-#include "sim/ptrace.hh"
 #include "sim/trace.hh"
 
 namespace ilp {
@@ -171,15 +170,10 @@ struct SlackReport
 class DepGraph
 {
   public:
-    /** Build from a packed trace (the TraceCache artifact path). */
-    static DepGraph build(const PackedTrace &trace);
-
     /**
      * Streaming builder: a TraceSink that constructs the graph
-     * directly from the interpreter's dynamic stream, for runs whose
-     * trace was never recorded (over-budget traces).  The result is
-     * identical to build() on an equivalent PackedTrace.  Defined
-     * after the class (it holds a DepGraph by value).
+     * directly from an executor's dynamic stream.  Defined after the
+     * class (it holds a DepGraph by value).
      */
     class Builder;
 
@@ -198,7 +192,7 @@ class DepGraph
     Pc pcCount() const { return pc_count_; }
 
     /** FNV-1a digest over the full node table — build determinism
-     *  fingerprint (identical across job counts and build paths). */
+     *  fingerprint (identical across job counts and backends). */
     std::uint64_t structureHash() const;
 
     /**
@@ -229,7 +223,6 @@ class DepGraph::Builder : public TraceSink
     DepGraph take();
 
   private:
-    friend class DepGraph;
     DepGraph graph_;
     /** Last writer per register (build-time scratch). */
     std::vector<NodeIdx> last_writer_;

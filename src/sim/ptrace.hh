@@ -1,7 +1,7 @@
 /**
  * @file
- * Packed dynamic traces: the execute-once half of the execute-once /
- * time-many split.
+ * Packed dynamic traces: what the trace cache records once a compile
+ * key is timed again, so later timings replay instead of executing.
  *
  * A DynInstr is ~40 bytes of convenient in-flight record; buffering
  * whole executions of millions of instructions at that size is what
@@ -15,8 +15,7 @@
  * Records that cannot be represented (a register index >= 0xffff, an
  * unaligned or out-of-range address) are detected at append time and
  * flag the trace as incomplete; consumers (core/study's TraceCache)
- * then fall back to live interpretation instead of replaying a lossy
- * trace.  The streaming TraceSink path (sim/trace.hh) is unchanged
+ * then fall back to live timing instead of replaying a lossy trace.  The streaming TraceSink path (sim/trace.hh) is unchanged
  * and remains the single-run / --trace-events route.
  */
 
@@ -70,7 +69,7 @@ struct PackedInstr
 
 static_assert(sizeof(PackedInstr) == 20,
               "PackedInstr must stay 20 bytes — trace memory is the "
-              "execute-once budget");
+              "trace cache's budget");
 
 /**
  * A whole execution's dynamic stream in packed, chunked storage.

@@ -369,15 +369,21 @@ TEST_F(ChaosTest, TraceBudgetPressureDegradesInsteadOfFailing)
     Study study(1);
     // A 1-byte budget keeps the cache enabled but makes every trace
     // non-replayable: cells must complete via live interpretation
-    // and be counted degraded, not failed.
+    // and be counted degraded, not failed.  Each cell times its key
+    // twice, so the second timing records (over budget).
     study.traceCache().setBudget(1);
     CellPolicy policy;
     policy.keepGoing = true;
     HardenedSweep<double> hs = study.runner().mapHardened<double>(
         4, policy, [&](std::size_t i) {
-            return study.speedup(
-                w, idealSuperscalar(static_cast<int>(i) + 1),
-                defaultCompileOptions(w));
+            const MachineConfig m =
+                idealSuperscalar(static_cast<int>(i) + 1);
+            const double live =
+                study.speedup(w, m, defaultCompileOptions(w));
+            const double again =
+                study.speedup(w, m, defaultCompileOptions(w));
+            EXPECT_EQ(again, live) << "cell " << i;
+            return again;
         });
     std::uint64_t degraded = 0;
     for (const CellOutcome<double> &c : hs.cells) {
@@ -443,21 +449,84 @@ TEST_F(ChaosTest, InjectedExecutionFaultsAreNotCached)
     // Fire on the first execution draw only (rate 1 would fire
     // forever): seed-indexed exit is for kills, so use a high rate
     // and cap retries high enough to ride through.
+    // Each cell times its key twice, so the second timing records
+    // under the injected faults.
     ASSERT_TRUE(fault::configure("execute:trap:0.6:31"));
     Study study(1);
     CellPolicy policy;
     policy.maxRetries = 20;
     HardenedSweep<double> hs = study.runner().mapHardened<double>(
         4, policy, [&](std::size_t i) {
-            return study.speedup(
-                w, idealSuperscalar(static_cast<int>(i) + 1),
-                defaultCompileOptions(w));
+            const MachineConfig m =
+                idealSuperscalar(static_cast<int>(i) + 1);
+            study.speedup(w, m, defaultCompileOptions(w));
+            return study.speedup(w, m, defaultCompileOptions(w));
         });
     for (const CellOutcome<double> &c : hs.cells)
         EXPECT_TRUE(c.ok()) << c.error.message;
     // The cache must not hold a poisoned (trapped) artifact: every
     // retained entry replays; fallbacks stay zero.
     EXPECT_EQ(study.traceCache().fallbacks(), 0u);
+}
+
+/** An injected execute trap on a key's live first timing surfaces as
+ *  the same E-code as on a recording, leaves the key untimed (the
+ *  retry is a live first timing again), and is retried by a hardened
+ *  sweep. */
+TEST_F(ChaosTest, InjectedTrapOnLiveFirstTimingIsRetried)
+{
+    const Workload w = kernelWorkload();
+    const MachineConfig m = idealSuperscalar(4);
+    Study study(1);
+    CellPolicy once;
+    once.keepGoing = true;
+    auto timeOnce = [&] {
+        return study.runner().mapHardened<double>(
+            1, once, [&](std::size_t) {
+                return study.timedRun(w, m, defaultCompileOptions(w))
+                    .cycles;
+            });
+    };
+
+    ASSERT_TRUE(fault::configure("execute:trap:1:41"));
+    const HardenedSweep<double> liveFault = timeOnce();
+    ASSERT_FALSE(liveFault.cells[0].ok());
+    EXPECT_EQ(liveFault.cells[0].error.code,
+              ErrCode::TrapTransientFault);
+    EXPECT_EQ(study.traceCache().size(), 0u);
+
+    // Clean again, the next timing is still a live first timing: it
+    // records nothing.
+    fault::reset();
+    const HardenedSweep<double> clean = timeOnce();
+    ASSERT_TRUE(clean.cells[0].ok());
+    EXPECT_EQ(study.traceCache().size(), 0u);
+
+    // The key is now timed, so the next timing records — and the
+    // same injected fault there gives the same E-code.
+    ASSERT_TRUE(fault::configure("execute:trap:1:41"));
+    const HardenedSweep<double> recordFault = timeOnce();
+    ASSERT_FALSE(recordFault.cells[0].ok());
+    EXPECT_EQ(recordFault.cells[0].error.code,
+              liveFault.cells[0].error.code);
+    EXPECT_EQ(study.traceCache().size(), 0u);
+
+    // Under a hardened sweep of a fresh key, first-timing traps are
+    // transient: retried until the key times, with the clean value.
+    ASSERT_TRUE(fault::configure("execute:trap:0.6:43"));
+    Study fresh(1);
+    CellPolicy policy;
+    policy.maxRetries = 20;
+    const HardenedSweep<double> hs =
+        fresh.runner().mapHardened<double>(1, policy, [&](std::size_t) {
+            return fresh.timedRun(w, m, defaultCompileOptions(w))
+                .cycles;
+        });
+    ASSERT_TRUE(hs.cells[0].ok()) << hs.cells[0].error.message;
+    EXPECT_EQ(hs.cells[0].value, clean.cells[0].value);
+    EXPECT_GT(hs.totals.retries, 0u);
+    EXPECT_EQ(fresh.traceCache().size(), 0u);
+    EXPECT_EQ(fresh.traceCache().fallbacks(), 0u);
 }
 
 // ------------------------------------------ metrics reconciliation

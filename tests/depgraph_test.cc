@@ -13,8 +13,8 @@
  *    zero slack, and the reported critical edges actually carry the
  *    critical path;
  *  - the graph build is deterministic: the same structure hash at any
- *    job count and on both build paths (packed-trace replay and the
- *    live interpreter stream);
+ *    job count, trace budget and execution backend (the graph always
+ *    streams out of live execution, recording no trace);
  *  - the prune-then-confirm sweep reproduces the unpruned speedups
  *    exactly while running a fraction of the exact replays.
  */
@@ -24,6 +24,7 @@
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
 #include "sim/depgraph.hh"
+#include "sim/exec.hh"
 #include "tests/helpers.hh"
 #include "workloads/workloads.hh"
 
@@ -166,6 +167,10 @@ TEST(DepGraphPropertyTest, BuildIsDeterministicAcrossJobsAndPaths)
         auto again = study.dependenceGraph(w, machine, options);
         EXPECT_EQ(again.get(), graph.get());
         EXPECT_EQ(study.graphCache().hits(), 1u);
+        // The graph streams out of live execution: no trace lookup,
+        // nothing recorded.
+        EXPECT_EQ(study.traceCache().misses(), 0u);
+        EXPECT_EQ(study.traceCache().size(), 0u);
     }
     // Same hash at other job counts (graphs fan out over workers).
     for (int jobs : {2, 8}) {
@@ -175,12 +180,21 @@ TEST(DepGraphPropertyTest, BuildIsDeterministicAcrossJobsAndPaths)
             << "jobs " << jobs;
         EXPECT_EQ(graph->size(), nodes);
     }
-    // Same hash when the trace cache is disabled and the graph is
-    // streamed straight out of live interpretation.
+    // Same hash when the trace cache is disabled.
     {
         Study study(1);
         study.traceCache().setBudget(0);
         auto graph = study.dependenceGraph(w, machine, options);
+        EXPECT_EQ(graph->structureHash(), reference);
+        EXPECT_EQ(graph->size(), nodes);
+    }
+    // Same hash streamed out of the interpreter instead of the
+    // bytecode VM.
+    {
+        setDefaultExecBackend(ExecBackend::Interp);
+        Study study(1);
+        auto graph = study.dependenceGraph(w, machine, options);
+        setDefaultExecBackend(std::nullopt);
         EXPECT_EQ(graph->structureHash(), reference);
         EXPECT_EQ(graph->size(), nodes);
     }

@@ -175,12 +175,24 @@ TEST(ProfileReconcile, LoopRollupFindsTheHotLoop)
 
 TEST(ProfileDeterminism, ReplayMatchesLiveByteForByte)
 {
-    prof::Profile replay = profileOn(superpipelined(4));
+    // One study profiles a key three times: live, then recorded and
+    // replayed, then replayed.
+    Study study(1);
+    Workload w = workload(kDotProd);
+    const MachineConfig machine = superpipelined(4);
+    const CompileOptions options = defaultCompileOptions(w);
+    prof::Profile first = study.profiledRun(w, machine, options);
+    prof::Profile recorded = study.profiledRun(w, machine, options);
+    prof::Profile replay = study.profiledRun(w, machine, options);
+    ASSERT_EQ(study.traceCache().hits(), 1u);
     // Budget 0 disables the trace cache: the run interprets live.
     prof::Profile live =
         profileOn(superpipelined(4), 1, 0, /*set_budget=*/true);
     EXPECT_EQ(prof::toJson(replay).dump(2),
               prof::toJson(live).dump(2));
+    EXPECT_EQ(prof::toJson(recorded).dump(2),
+              prof::toJson(live).dump(2));
+    EXPECT_EQ(prof::toJson(first).dump(2), prof::toJson(live).dump(2));
 }
 
 TEST(ProfileDeterminism, IndependentOfJobCount)

@@ -1,9 +1,11 @@
 /**
- * TraceCache and the execute-once / time-many study path: one
- * functional execution per compile key (even under a concurrent
- * sweep), LRU eviction under a byte budget, transparent fallback for
- * trapped or over-budget executions, and byte-identical outcomes
- * live vs replay, cached vs uncached, at any job count.
+ * TraceCache and the live-first / record-on-reuse study path: the
+ * first timing of a compile key runs live and records nothing, the
+ * second records one trace (even under a concurrent sweep) and
+ * replays it, later ones replay; LRU eviction under a byte budget;
+ * transparent fallback for trapped or over-budget recordings; and
+ * byte-identical outcomes live vs replay, cached vs uncached, at any
+ * job count.
  */
 
 #include <gtest/gtest.h>
@@ -169,8 +171,6 @@ TEST(TraceCacheTest, ShrinkUnderConcurrentReadersNeverPoisons)
         ASSERT_NE(art, nullptr);
         EXPECT_FALSE(art->result.trapped());
         EXPECT_GT(art->result.instructions, 0u);
-        if (!art->replayable)
-            cache.noteFallback();
     });
     EXPECT_LE(cache.bytesHeld(), cache.budget());
     EXPECT_EQ(cache.hits() + cache.misses(), 32u);
@@ -197,8 +197,15 @@ TEST(TraceCacheTest, OverBudgetExecutionFallsBackNotOverflows)
     EXPECT_GT(art->result.instructions, 0u);
     EXPECT_EQ(cache.bytesHeld(), 0u);
 
-    cache.noteFallback();
+    // Timing the key: live first, then a recording over budget that
+    // falls back to live timing — same outcome either way.
+    const MachineConfig machine = idealSuperscalar(4);
+    RunOutcome first = cache.timedRun("over", m, machine);
+    RunOutcome second = cache.timedRun("over", m, machine);
     EXPECT_EQ(cache.fallbacks(), 1u);
+    EXPECT_EQ(second.cycles, first.cycles);
+    EXPECT_EQ(second.checksum, first.checksum);
+    EXPECT_EQ(cache.bytesHeld(), 0u);
 }
 
 TEST(TraceCacheTest, TrappedExecutionYieldsNonReplayableArtifact)
@@ -261,11 +268,14 @@ TEST(StudyTraceTest, TimedRunMatchesLiveRunExactly)
 
     Study study(1);
     RunOutcome cold = study.timedRun(w, machine, options, telemetry);
+    RunOutcome recorded =
+        study.timedRun(w, machine, options, telemetry);
     RunOutcome warm = study.timedRun(w, machine, options, telemetry);
-    EXPECT_EQ(study.traceCache().misses(), 1u);
+    // Live, then recorded (both executed), then replayed.
+    EXPECT_EQ(study.traceCache().misses(), 2u);
     EXPECT_EQ(study.traceCache().hits(), 1u);
 
-    for (const RunOutcome *out : {&cold, &warm}) {
+    for (const RunOutcome *out : {&cold, &recorded, &warm}) {
         EXPECT_EQ(out->checksum, live.checksum);
         EXPECT_EQ(out->checksum, w.expected);
         EXPECT_EQ(out->fpChecksum, live.fpChecksum);
@@ -299,7 +309,11 @@ TEST(StudyTraceTest, StatsSnapshotsAgreeLiveVsReplay)
     telemetry.collectStats = true;
 
     Study cached(1);
+    cached.timedRun(w, machine, options, telemetry); // live first
+    RunOutcome recorded =
+        cached.timedRun(w, machine, options, telemetry);
     RunOutcome replay = cached.timedRun(w, machine, options, telemetry);
+    ASSERT_EQ(cached.traceCache().hits(), 1u);
 
     Study uncached(1);
     uncached.traceCache().setBudget(0);
@@ -307,13 +321,15 @@ TEST(StudyTraceTest, StatsSnapshotsAgreeLiveVsReplay)
 
     EXPECT_EQ(scrubWallTimes(replay.stats.root).dump(),
               scrubWallTimes(live.stats.root).dump());
+    EXPECT_EQ(scrubWallTimes(recorded.stats.root).dump(),
+              scrubWallTimes(live.stats.root).dump());
 }
 
 TEST(StudyTraceTest, OneExecutionPerCompileKeyAcrossAMachineSweep)
 {
     // Machines differing only in latency/name share a compile key —
-    // and now also a single functional execution; the paper's
-    // execute-once / time-many loop.
+    // and so, once the key is timed again, a single recording; the
+    // paper's compile-once / time-many loop.
     const Workload &w = smallWorkload();
     Study study(1);
     const CompileOptions options = defaultCompileOptions(w);
@@ -326,11 +342,13 @@ TEST(StudyTraceTest, OneExecutionPerCompileKeyAcrossAMachineSweep)
     MachineConfig renamed = multiTitan();
     renamed.name = "multititan-copy";
 
-    study.timedRun(w, fast, options);
-    study.timedRun(w, slow, options);
-    study.timedRun(w, renamed, options);
-    EXPECT_EQ(study.traceCache().misses(), 2u);
+    study.timedRun(w, fast, options);    // live
+    study.timedRun(w, slow, options);    // live, its own key
+    study.timedRun(w, renamed, options); // fast's key again: records
+    study.timedRun(w, fast, options);    // replays that recording
+    EXPECT_EQ(study.traceCache().misses(), 3u);
     EXPECT_EQ(study.traceCache().hits(), 1u);
+    EXPECT_EQ(study.traceCache().size(), 1u);
 }
 
 TEST(StudyTraceTest, SpeedupIdenticalAtAnyJobCountAndBudget)
@@ -360,22 +378,171 @@ TEST(StudyTraceTest, SpeedupIdenticalAtAnyJobCountAndBudget)
         for (std::size_t i = 0; i < got.size(); ++i)
             EXPECT_EQ(got[i], reference[i])
                 << "degree " << i + 1 << " at jobs " << jobs;
-        // Degrees 1..4 have distinct compile keys — and the base
-        // machine is scheduler-indistinguishable from degree 1, so it
-        // shares that key's execution: 4 executions total, each
-        // exactly once.
-        EXPECT_EQ(study.traceCache().misses(), 4u);
-        EXPECT_GE(study.traceCache().hits(), 1u);
+        // Degrees 1..4 have distinct compile keys, each timed live
+        // once — and the base machine is scheduler-indistinguishable
+        // from degree 1, so that key is timed again (base cycles
+        // first, every cell waiting on them) and records: 5
+        // executions, one recording.
+        EXPECT_EQ(study.traceCache().misses(), 5u);
+        EXPECT_EQ(study.traceCache().hits(), 0u);
+        EXPECT_EQ(study.traceCache().size(), 1u);
     }
+}
+
+// ------------------------------------------------ record-on-reuse
+
+/** Every observable part of a RunOutcome, wall times scrubbed. */
+void
+expectSameOutcome(const RunOutcome &a, const RunOutcome &b,
+                  const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.checksum, b.checksum);
+    EXPECT_EQ(a.fpChecksum, b.fpChecksum);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.trap.code, b.trap.code);
+    EXPECT_EQ(scrubWallTimes(a.stats.root).dump(),
+              scrubWallTimes(b.stats.root).dump());
+    ASSERT_EQ(a.issueTimeline.size(), b.issueTimeline.size());
+    for (std::size_t i = 0; i < a.issueTimeline.size(); ++i) {
+        const IssueEvent &x = a.issueTimeline[i];
+        const IssueEvent &y = b.issueTimeline[i];
+        EXPECT_EQ(x.cycle, y.cycle) << "event " << i;
+        EXPECT_EQ(x.slot, y.slot) << "event " << i;
+        EXPECT_EQ(x.latencyMinor, y.latencyMinor) << "event " << i;
+        EXPECT_EQ(x.cls, y.cls) << "event " << i;
+    }
+    EXPECT_EQ(a.timelineDropped, b.timelineDropped);
+    ASSERT_EQ(a.pcCounters.size(), b.pcCounters.size());
+    for (std::size_t pc = 0; pc < a.pcCounters.size(); ++pc) {
+        EXPECT_EQ(a.pcCounters[pc].issued, b.pcCounters[pc].issued)
+            << "pc " << pc;
+        EXPECT_EQ(a.pcCounters[pc].stallSlots,
+                  b.pcCounters[pc].stallSlots)
+            << "pc " << pc;
+    }
+    EXPECT_EQ(a.stalls.slots, b.stalls.slots);
+    EXPECT_EQ(a.issueSlotsTotal, b.issueSlotsTotal);
+}
+
+RunTelemetryOptions
+fullTelemetry()
+{
+    RunTelemetryOptions t;
+    t.collectStats = true;
+    t.timelineLimit = 256;
+    t.collectProfile = true;
+    return t;
+}
+
+TEST(RecordOnReuseTest, FirstTimingLiveSecondRecordsThirdReplays)
+{
+    const Workload &w = smallWorkload();
+    const MachineConfig machine = superpipelined(4);
+    const CompileOptions options = defaultCompileOptions(w);
+    const RunTelemetryOptions telemetry = fullTelemetry();
+    Study study(1);
+    const TraceCache &cache = study.traceCache();
+
+    RunOutcome live = study.timedRun(w, machine, options, telemetry);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.bytesHeld(), 0u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
+
+    RunOutcome recorded =
+        study.timedRun(w, machine, options, telemetry);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_GT(cache.bytesHeld(), 0u);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits(), 0u);
+
+    RunOutcome replayed =
+        study.timedRun(w, machine, options, telemetry);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.fallbacks(), 0u);
+
+    ASSERT_FALSE(live.pcCounters.empty());
+    ASSERT_FALSE(live.issueTimeline.empty());
+    expectSameOutcome(recorded, live, "recorded vs live");
+    expectSameOutcome(replayed, live, "replayed vs live");
+}
+
+TEST(RecordOnReuseTest, ConcurrentFirstRequestsRecordAtMostOnce)
+{
+    const Workload &w = smallWorkload();
+    const MachineConfig machine = idealSuperscalar(4);
+    const CompileOptions options = defaultCompileOptions(w);
+    const RunTelemetryOptions telemetry = fullTelemetry();
+
+    RunOutcome reference = runWorkload(w, machine, options, telemetry);
+
+    Study study(8);
+    constexpr std::size_t kRequests = 16;
+    std::vector<RunOutcome> got = study.runner().map<RunOutcome>(
+        kRequests, [&](std::size_t) {
+            return study.timedRun(w, machine, options, telemetry);
+        });
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectSameOutcome(got[i], reference,
+                          "request " + std::to_string(i));
+    // One request timed live, at most one recorded, the rest replayed
+    // (or parked on the recording).
+    const TraceCache &cache = study.traceCache();
+    EXPECT_LE(cache.size(), 1u);
+    EXPECT_LE(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits() + cache.misses(), kRequests);
+    EXPECT_EQ(cache.fallbacks(), 0u);
+}
+
+TEST(RecordOnReuseTest, LiveFirstTimingIsNeverAFallbackOrDegraded)
+{
+    const Workload &w = smallWorkload();
+    const CompileOptions options = defaultCompileOptions(w);
+    Study study(2);
+    // A budget no trace fits: any recording would fall back.
+    study.traceCache().setBudget(1);
+    CellPolicy policy;
+    policy.keepGoing = true;
+    auto sweep = [&] {
+        return study.runner().mapHardened<double>(
+            4, policy, [&](std::size_t i) {
+                return study
+                    .timedRun(w,
+                              idealSuperscalar(static_cast<int>(i) + 1),
+                              options)
+                    .cycles;
+            });
+    };
+
+    // Four distinct keys, each timed once: all live first timings.
+    HardenedSweep<double> first = sweep();
+    for (const CellOutcome<double> &c : first.cells) {
+        EXPECT_TRUE(c.ok());
+        EXPECT_FALSE(c.degraded);
+    }
+    EXPECT_EQ(first.totals.degraded, 0u);
+    EXPECT_EQ(study.traceCache().fallbacks(), 0u);
+    EXPECT_EQ(study.traceCache().misses(), 4u);
+
+    // Timed again, every key records over budget and falls back.
+    HardenedSweep<double> second = sweep();
+    EXPECT_EQ(second.totals.degraded, 4u);
+    EXPECT_EQ(study.traceCache().fallbacks(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(second.cells[i].value, first.cells[i].value);
 }
 
 using TraceCacheTrapStudy = test::ThrowingErrors;
 
 TEST_F(TraceCacheTrapStudy, TimedRunSurfacesTrapsLikeTheLivePath)
 {
-    // A workload whose main traps: timedRun must fall back and
-    // surface the trap in the outcome (not throw, not cache a bogus
-    // checksum).
+    // A workload whose main traps: timedRun must surface the trap in
+    // the outcome (not throw, not cache a bogus checksum), both live
+    // and when the recording falls back.
     Workload w{"trapper", "always divides by zero",
                R"(var int zero;
                   func main() : int { return 1 / zero; })",
@@ -388,6 +555,15 @@ TEST_F(TraceCacheTrapStudy, TimedRunSurfacesTrapsLikeTheLivePath)
     EXPECT_EQ(out.trap.code, ErrCode::TrapDivideByZero);
     EXPECT_EQ(out.checksum, 0);          // satellite: no bogus checksum
     EXPECT_EQ(out.fpChecksum, 0.0);
+    EXPECT_EQ(study.traceCache().fallbacks(), 0u); // live first
+
+    RunOutcome again =
+        study.timedRun(w, idealSuperscalar(4),
+                       defaultCompileOptions(w));
+    ASSERT_TRUE(again.trapped());
+    EXPECT_EQ(again.trap.code, ErrCode::TrapDivideByZero);
+    EXPECT_EQ(again.trap.instruction, out.trap.instruction);
+    EXPECT_EQ(again.checksum, 0);
     EXPECT_EQ(study.traceCache().fallbacks(), 1u);
 
     // And speedup() still converts it into a TrapException for sweep
