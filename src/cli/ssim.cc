@@ -93,15 +93,15 @@
  *   --stats            print the full stats tree after the run
  *   --stats-json FILE  write the stats tree as JSON (run/suite)
  *   --trace-events FILE  write Chrome tracing JSON: for `run`, the
- *                      compile spans + issue timeline of the single
- *                      run; for `ilp`/`suite`, the whole sweep from
- *                      the flight recorder — one timeline track per
- *                      worker thread with compile / execute / replay /
- *                      cache-wait / cell spans
+ *                      flight-recorder spans of its compile and run
+ *                      plus the issue timeline; for `ilp`/`suite`,
+ *                      the whole sweep from the flight recorder — one
+ *                      timeline track per worker thread with compile /
+ *                      execute / replay / cache-wait / cell spans
  *   --trace-limit N    run: cap recorded issue events (default 100000)
  *   --metrics-json FILE  ilp/suite: write the runtime metrics
- *                      snapshot (counters, gauges, duration
- *                      histograms with p50/p90/p99) as JSON
+ *                      snapshot (counters, gauges, span-duration
+ *                      summaries with exact p50/p90/p99) as JSON
  *   --metrics-prom FILE  ilp/suite: the same snapshot in Prometheus
  *                      text exposition format
  *   --progress         ilp/suite: live sweep progress on stderr
@@ -696,18 +696,26 @@ cmdRun(const Cli &cli)
         w.source, baseMachine(), cli.options, nullptr, cli.file);
     if (!base_mod.ok())
         return fail(base_mod.formatErrors());
+    // The base run goes first so that --trace-events records only the
+    // compile and run on cli.machine; its trap is reported after that
+    // compile's diagnostics, as ever.
+    RunOutcome base = runOnMachine(base_mod.value(), baseMachine());
+
+    const bool traced = !cli.traceEventsPath.empty();
+    if (traced)
+        trace::Recorder::instance().start();
     CompileTelemetry compile;
     Result<Module> mod = compileWorkloadChecked(
         w.source, cli.machine, cli.options, want ? &compile : nullptr,
         cli.file);
     if (!mod.ok())
         return fail(mod.formatErrors());
-
-    RunOutcome base = runOnMachine(base_mod.value(), baseMachine());
     if (base.trapped())
         return fail(base.trap.format());
     RunOutcome out = runOnMachine(mod.value(), cli.machine, telemetry,
                                   want ? &compile : nullptr);
+    const trace::Recording recording =
+        traced ? trace::Recorder::instance().stop() : trace::Recording{};
     if (out.trapped())
         return fail(out.trap.format());
     std::printf("program      : %s\n", cli.file.c_str());
@@ -729,9 +737,9 @@ cmdRun(const Cli &cli)
     if (!cli.statsJsonPath.empty())
         writeJsonFile(cli.statsJsonPath,
                       statsDocument(cli, cli.file, out));
-    if (!cli.traceEventsPath.empty())
+    if (traced)
         writeJsonFile(cli.traceEventsPath,
-                      buildTraceEvents(out, cli.machine));
+                      buildTraceEvents(out, cli.machine, recording));
     if (cli.wantProfile()) {
         prof::Profile p = prof::buildProfile(
             cli.file, cli.machine,
@@ -828,25 +836,27 @@ writeTextFile(const std::string &path, const std::string &text)
 
 /**
  * Sweep-level observability shared by `ilp` and `suite`: a flight-
- * recorder session behind --trace-events, a live ProgressReporter
- * behind --progress, the --metrics-json / --metrics-prom exports, and
- * the metrics-vs-stats reconciliation check.  Construct before the
- * sweep; call finish() after the barrier (all workers joined).  An
- * aborted sweep (non-keep-going failure) skips finish() and writes
- * nothing, matching the other output files.
+ * recorder session behind --trace-events and --metrics-*, a live
+ * ProgressReporter behind --progress, and the trace and metrics
+ * exports.  Construct before the sweep; call finish() after the
+ * barrier (all workers joined).  An aborted sweep (non-keep-going
+ * failure) skips finish() and writes nothing, matching the other
+ * output files.
  */
 class SweepObservability
 {
   public:
     SweepObservability(const Cli &cli, const Study &study,
                        std::size_t totalCells)
-        : cli_(cli), study_(study), expected_(totalCells)
+        : cli_(cli), study_(study),
+          recording_(!cli.traceEventsPath.empty() ||
+                     !cli.metricsJsonPath.empty() ||
+                     !cli.metricsPromPath.empty())
     {
-        // Metrics accumulate per process; zeroing them here makes the
-        // exported snapshot (and the reconciliation check) cover
-        // exactly this sweep.
+        // Registry counters accumulate per process; zeroing them here
+        // makes the exported snapshot cover exactly this sweep.
         metrics::Registry::global().reset();
-        if (!cli_.traceEventsPath.empty())
+        if (recording_)
             trace::Recorder::instance().start();
         if (cli_.progress) {
             ProgressReporter::Config pc;
@@ -858,38 +868,28 @@ class SweepObservability
         }
     }
 
+    /** `totals` are the hardened sweep's survivability counts (zero
+     *  for sweeps that do not retry). */
     void
-    finish()
-    {
-        finishImpl(nullptr);
-    }
-
-    /** Hardened-sweep variant: additionally reconciles the four
-     *  survivability counters against mapHardened's totals. */
-    void
-    finish(const HardeningTotals &totals)
-    {
-        finishImpl(&totals);
-    }
-
-  private:
-    void
-    finishImpl(const HardeningTotals *totals)
+    finish(const HardeningTotals &totals = {})
     {
         if (progress_) {
             progress_->finish();
             progress_.reset();
         }
+        if (!recording_)
+            return;
+        const trace::Recording rec = trace::Recorder::instance().stop();
         if (!cli_.traceEventsPath.empty()) {
-            writeJsonFile(
-                cli_.traceEventsPath,
-                buildSweepTraceEvents(trace::Recorder::instance().stop(),
-                                      cli_.machine));
+            writeJsonFile(cli_.traceEventsPath,
+                          buildSweepTraceEvents(rec, cli_.machine));
         }
+        const metrics::Snapshot snapshot =
+            sweepMetrics(study_, totals, rec);
         if (!cli_.metricsJsonPath.empty()) {
             Json doc = Json::object();
             doc.set("meta", documentMeta(cli_.machine));
-            doc.set("metrics", metrics::Registry::global().json());
+            doc.set("metrics", snapshot.json());
             writeJsonFile(cli_.metricsJsonPath, doc);
         }
         if (!cli_.metricsPromPath.empty()) {
@@ -903,22 +903,15 @@ class SweepObservability
             prom += std::string("ssim_build_info{version=\"") +
                     buildVersion() + "\",build=\"" + buildType() +
                     "\",machine=\"" + cli_.machine.name + "\"} 1\n";
-            prom += metrics::Registry::global().prometheus();
+            prom += snapshot.prometheus();
             writeTextFile(cli_.metricsPromPath, prom);
         }
-        const std::string mismatch =
-            totals ? checkMetricsReconciliation(study_, expected_,
-                                                *totals)
-                   : checkMetricsReconciliation(study_, expected_);
-        if (!mismatch.empty())
-            SS_WARN("metrics do not reconcile with the stats "
-                    "registry: ",
-                    mismatch);
     }
 
+  private:
     const Cli &cli_;
     const Study &study_;
-    std::uint64_t expected_;
+    bool recording_;
     std::unique_ptr<ProgressReporter> progress_;
 };
 

@@ -5,44 +5,9 @@
 
 #include "sim/exec.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 #include "support/trace.hh"
 
 namespace ilp {
-
-namespace {
-
-metrics::Histogram &
-executeSeconds()
-{
-    static metrics::Histogram &h =
-        metrics::Registry::global().histogram(
-            "ssim_execute_seconds",
-            "Wall-clock seconds per functional execution.");
-    return h;
-}
-
-metrics::Histogram &
-replaySeconds()
-{
-    static metrics::Histogram &h =
-        metrics::Registry::global().histogram(
-            "ssim_replay_seconds",
-            "Wall-clock seconds per timing replay of a cached trace.");
-    return h;
-}
-
-metrics::Histogram &
-liveRunSeconds()
-{
-    static metrics::Histogram &h =
-        metrics::Registry::global().histogram(
-            "ssim_live_run_seconds",
-            "Wall-clock seconds per live (non-replay) timing run.");
-    return h;
-}
-
-} // namespace
 
 CompileOptions
 defaultCompileOptions(const Workload &workload)
@@ -81,7 +46,6 @@ compileWorkloadChecked(const std::string &source,
             fe.instrsAfter += func.instrCount();
             fe.blocksAfter += func.blocks.size();
         }
-        telemetry->addSpan("frontend", t0, t1);
     }
     OptimizeOptions oo;
     oo.level = options.level;
@@ -189,8 +153,6 @@ runOnMachine(const Module &module, const MachineConfig &machine,
     trace::ScopedSpan span("live_run", "execute");
     if (span.armed())
         span.detail(module.sourceName);
-    metrics::ScopedTimer timer(metrics::Registry::global(),
-                               liveRunSeconds());
     std::unique_ptr<Executor> exec = makeExecutor(module);
     IssueEngine engine(machine);
     if (telemetry.timelineLimit > 0)
@@ -226,8 +188,6 @@ executeWorkload(const Module &module, std::size_t maxTraceBytes)
     trace::ScopedSpan span("execute", "execute");
     if (span.armed())
         span.detail(module.sourceName);
-    metrics::ScopedTimer timer(metrics::Registry::global(),
-                               executeSeconds());
     TraceArtifact art;
     art.pcCount = module.pcCount();
     std::unique_ptr<Executor> exec = makeExecutor(module);
@@ -253,8 +213,6 @@ timeTrace(const TraceArtifact &artifact, const MachineConfig &machine,
               "timeTrace needs a replayable artifact; trapped or "
               "lossy executions must go through runOnMachine");
     trace::ScopedSpan span("replay", "replay");
-    metrics::ScopedTimer timer(metrics::Registry::global(),
-                               replaySeconds());
     IssueEngine engine(machine);
     if (telemetry.timelineLimit > 0)
         engine.recordTimeline(telemetry.timelineLimit);

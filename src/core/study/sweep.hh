@@ -135,8 +135,8 @@ struct CellPolicy
     bool keepGoing = false;
 };
 
-/** Sweep-wide survivability accounting; each field reconciles
- *  exactly with its ssim_sweep_* metric counter. */
+/** Sweep-wide survivability accounting; the ssim_sweep_* metric
+ *  counters are read from these fields. */
 struct HardeningTotals
 {
     std::uint64_t retries = 0;
@@ -164,12 +164,6 @@ namespace detail {
 /** Clear / read the thread-local degraded flag around one attempt. */
 void beginCellAttempt();
 bool cellAttemptDegraded();
-
-/** Bump the hardening metric counters (one relaxed atomic each). */
-void noteRetryMetric();
-void noteTimeoutMetric();
-void noteQuarantineMetric();
-void noteDegradedMetric();
 
 /** Sleep the exponential-backoff delay (deterministic jitter from
  *  (cell, attempt), ~1-100 ms) before a retry. */
@@ -279,25 +273,21 @@ class SweepRunner
                         slot.degraded = true;
                         degraded.fetch_add(1,
                                            std::memory_order_relaxed);
-                        detail::noteDegradedMetric();
                     }
                     return;
                 }
                 if (slot.error.code ==
                     ErrCode::TrapDeadlineExceeded) {
                     timeouts.fetch_add(1, std::memory_order_relaxed);
-                    detail::noteTimeoutMetric();
                 }
                 if (errCodeTransient(slot.error.code) &&
                     attempt < policy.maxRetries) {
                     retries.fetch_add(1, std::memory_order_relaxed);
-                    detail::noteRetryMetric();
                     detail::backoffBeforeRetry(i, attempt);
                     continue;
                 }
                 slot.quarantined = true;
                 quarantined.fetch_add(1, std::memory_order_relaxed);
-                detail::noteQuarantineMetric();
                 noteCellFailure(slot.error);
                 if (!policy.keepGoing)
                     std::rethrow_exception(raised);

@@ -2,12 +2,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string_view>
 
 #include "core/study/experiment.hh"
 #include "core/study/sweep.hh"
 #include "support/buildinfo.hh"
+#include "support/faultinject.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 
 namespace ilp {
 
@@ -43,43 +45,91 @@ metadataEvent(const std::string &name, int pid, int tid,
     return e;
 }
 
+/** Every recorded span as a complete event on `pid`, with one named
+ *  thread per recording track and the span's detail under args. */
+void
+appendSpanEvents(Json &events, const trace::Recording &recording,
+                 int pid, const char *process)
+{
+    events.push(metadataEvent("process_name", pid, 0, process));
+    for (const auto &[track, label] : recording.tracks) {
+        events.push(metadataEvent("thread_name", pid,
+                                  static_cast<int>(track), label));
+    }
+    for (const trace::Span &span : recording.spans) {
+        Json e = completeEvent(span.name, span.cat, span.startUs,
+                               span.durUs, pid,
+                               static_cast<int>(span.track));
+        if (!span.detail.empty()) {
+            Json args = Json::object();
+            args.set("detail", Json(span.detail));
+            e.set("args", std::move(args));
+        }
+        events.push(std::move(e));
+    }
+}
+
+/** The provenance block of a trace document's otherData. */
+Json
+traceMeta(const MachineConfig &machine)
+{
+    Json meta = buildMeta();
+    meta.set("machine", Json(machine.name));
+    meta.set("machine_hash",
+             Json(std::to_string(machine.specHash())));
+    return meta;
+}
+
+Json
+traceDocument(Json events, Json meta)
+{
+    Json doc = Json::object();
+    doc.set("traceEvents", std::move(events));
+    doc.set("displayTimeUnit", Json("ms"));
+    doc.set("otherData", std::move(meta));
+    return doc;
+}
+
+/** A duration summary read from the recorded spans of one name.
+ *  The first entry is the sweep cell, whose span count is also the
+ *  cell counter. */
+struct SpanSummary
+{
+    const char *span;
+    const char *metric;
+    const char *help;
+};
+
+constexpr SpanSummary kSpanSummaries[] = {
+    {"cell", "ssim_sweep_cell_seconds",
+     "Wall-clock seconds per sweep cell."},
+    {"compile", "ssim_compile_seconds",
+     "Wall-clock seconds per workload compilation."},
+    {"live_run", "ssim_live_run_seconds",
+     "Wall-clock seconds per live (non-replay) timing run."},
+    {"execute", "ssim_execute_seconds",
+     "Wall-clock seconds per functional execution."},
+    {"replay", "ssim_replay_seconds",
+     "Wall-clock seconds per timing replay of a cached trace."},
+    {"bytecode_lower", "ssim_bytecode_lower_seconds",
+     "wall time lowering a module to bytecode"},
+    {"depgraph_build", "ssim_depgraph_build_seconds",
+     "Wall-clock seconds per dependence-graph build."},
+};
+
 } // namespace
 
 Json
 buildTraceEvents(const RunOutcome &outcome,
-                 const MachineConfig &machine)
+                 const MachineConfig &machine,
+                 const trace::Recording &recording)
 {
-    constexpr int kCompilePid = 1;
+    constexpr int kPipelinePid = 1;
     constexpr int kIssuePid = 2;
 
     Json events = Json::array();
-    events.push(
-        metadataEvent("process_name", kCompilePid, 0, "compile"));
+    appendSpanEvents(events, recording, kPipelinePid, "pipeline");
     events.push(metadataEvent("process_name", kIssuePid, 0, "issue"));
-
-    // Compile spans: one tid per distinct phase prefix (the part
-    // before ':'), so each optimizer phase gets its own track.
-    // Each track is named so viewers show "frontend"/"opt"/... instead
-    // of bare thread ids.
-    std::vector<std::string> tracks;
-    for (const auto &span : outcome.compile.spans) {
-        std::string track = span.name.substr(0, span.name.find(':'));
-        int tid = -1;
-        for (std::size_t i = 0; i < tracks.size(); ++i) {
-            if (tracks[i] == track)
-                tid = static_cast<int>(i);
-        }
-        if (tid < 0) {
-            tid = static_cast<int>(tracks.size());
-            tracks.push_back(track);
-            events.push(metadataEvent("thread_name", kCompilePid, tid,
-                                      track));
-        }
-        events.push(completeEvent(span.name, "compile",
-                                  span.startMs * 1000.0,
-                                  span.durMs * 1000.0, kCompilePid,
-                                  tid));
-    }
 
     // Issue timeline: one tid per issue slot; one simulated minor
     // cycle = 1us of trace time, duration = operation latency.
@@ -98,128 +148,92 @@ buildTraceEvents(const RunOutcome &outcome,
             static_cast<double>(ev.latencyMinor), kIssuePid, tid));
     }
 
-    Json doc = Json::object();
-    doc.set("traceEvents", std::move(events));
-    doc.set("displayTimeUnit", Json("ms"));
-    Json meta = buildMeta();
-    meta.set("machine", Json(machine.name));
-    meta.set("machine_hash",
-             Json(std::to_string(machine.specHash())));
+    Json meta = traceMeta(machine);
     meta.set("issueWidth", Json(machine.issueWidth));
     meta.set("pipelineDegree", Json(machine.pipelineDegree));
     meta.set("timelineDropped", Json(outcome.timelineDropped));
-    doc.set("otherData", std::move(meta));
-    return doc;
+    return traceDocument(std::move(events), std::move(meta));
 }
 
 Json
 buildSweepTraceEvents(const trace::Recording &recording,
                       const MachineConfig &machine)
 {
-    constexpr int kSweepPid = 1;
-
     Json events = Json::array();
-    events.push(metadataEvent("process_name", kSweepPid, 0, "sweep"));
-    for (const auto &[track, label] : recording.tracks) {
-        events.push(metadataEvent("thread_name", kSweepPid,
-                                  static_cast<int>(track), label));
-    }
-    for (const trace::Span &span : recording.spans) {
-        Json e = completeEvent(span.name, span.cat, span.startUs,
-                               span.durUs, kSweepPid,
-                               static_cast<int>(span.track));
-        if (!span.detail.empty()) {
-            Json args = Json::object();
-            args.set("detail", Json(span.detail));
-            e.set("args", std::move(args));
-        }
-        events.push(std::move(e));
-    }
-
-    Json doc = Json::object();
-    doc.set("traceEvents", std::move(events));
-    doc.set("displayTimeUnit", Json("ms"));
-    Json meta = buildMeta();
-    meta.set("machine", Json(machine.name));
-    meta.set("machine_hash",
-             Json(std::to_string(machine.specHash())));
+    appendSpanEvents(events, recording, 1, "sweep");
+    Json meta = traceMeta(machine);
     meta.set("spans",
              Json(static_cast<std::uint64_t>(recording.spans.size())));
     meta.set("workers",
              Json(static_cast<std::uint64_t>(recording.tracks.size())));
-    doc.set("otherData", std::move(meta));
-    return doc;
+    return traceDocument(std::move(events), std::move(meta));
 }
 
-std::string
-checkMetricsReconciliation(const Study &study,
-                           std::uint64_t expectedCells)
+metrics::Snapshot
+sweepMetrics(const Study &study, const HardeningTotals &totals,
+             const trace::Recording &recording)
 {
-    metrics::Registry &reg = metrics::Registry::global();
-    struct Pair
-    {
-        const char *metric;
-        std::uint64_t expected;
-    };
-    const Pair pairs[] = {
-        {"ssim_sweep_cells_total", expectedCells},
-        {"ssim_compile_cache_hits_total",
-         study.compileCache().hits()},
-        {"ssim_compile_cache_misses_total",
-         study.compileCache().misses()},
-        {"ssim_compile_cache_failures_total",
-         study.compileCache().failures()},
-        {"ssim_trace_cache_hits_total", study.traceCache().hits()},
-        {"ssim_trace_cache_misses_total",
-         study.traceCache().misses()},
-        {"ssim_trace_cache_evictions_total",
-         study.traceCache().evictions()},
-        {"ssim_trace_cache_fallbacks_total",
-         study.traceCache().fallbacks()},
-    };
-    for (const Pair &p : pairs) {
-        const std::uint64_t got = reg.counter(p.metric).value();
-        if (got != p.expected) {
-            return std::string("metric '") + p.metric + "' is " +
-                   std::to_string(got) +
-                   " but the stats-side counter says " +
-                   std::to_string(p.expected);
+    constexpr std::size_t kSummaries = std::size(kSpanSummaries);
+    std::vector<double> seconds[kSummaries];
+    for (const trace::Span &span : recording.spans) {
+        for (std::size_t i = 0; i < kSummaries; ++i) {
+            if (std::string_view(span.name) == kSpanSummaries[i].span)
+                seconds[i].push_back(span.durUs / 1e6);
         }
     }
-    return {};
-}
 
-std::string
-checkMetricsReconciliation(const Study &study,
-                           std::uint64_t expectedCells,
-                           const HardeningTotals &totals)
-{
-    std::string mismatch =
-        checkMetricsReconciliation(study, expectedCells);
-    if (!mismatch.empty())
-        return mismatch;
-    metrics::Registry &reg = metrics::Registry::global();
-    struct Pair
-    {
-        const char *metric;
-        std::uint64_t expected;
-    };
-    const Pair pairs[] = {
-        {"ssim_sweep_cell_retries_total", totals.retries},
-        {"ssim_sweep_cell_timeouts_total", totals.timeouts},
-        {"ssim_sweep_cells_quarantined_total", totals.quarantined},
-        {"ssim_sweep_cells_degraded_total", totals.degraded},
-    };
-    for (const Pair &p : pairs) {
-        const std::uint64_t got = reg.counter(p.metric).value();
-        if (got != p.expected) {
-            return std::string("metric '") + p.metric + "' is " +
-                   std::to_string(got) +
-                   " but the sweep-side counter says " +
-                   std::to_string(p.expected);
-        }
+    const CompileCache &cc = study.compileCache();
+    const TraceCache &tc = study.traceCache();
+    metrics::Snapshot s;
+    s.counter("ssim_sweep_cells_total", "Sweep cells evaluated.",
+              seconds[0].size());
+    s.counter("ssim_compile_cache_hits_total",
+              "Compile-cache lookups served from an existing entry.",
+              cc.hits());
+    s.counter("ssim_compile_cache_misses_total",
+              "Compile-cache lookups that had to compile.",
+              cc.misses());
+    s.counter("ssim_compile_cache_failures_total",
+              "Compilations that failed (entry evicted).",
+              cc.failures());
+    s.counter("ssim_trace_cache_hits_total",
+              "Trace-cache lookups served from a recording (replays).",
+              tc.hits());
+    s.counter("ssim_trace_cache_misses_total",
+              "Trace-cache lookups that executed, live or recorded.",
+              tc.misses());
+    s.counter("ssim_trace_cache_evictions_total",
+              "Trace-cache entries dropped to fit the byte budget.",
+              tc.evictions());
+    s.counter("ssim_trace_cache_fallbacks_total",
+              "Timings run live because their recording was not "
+              "replayable.",
+              tc.fallbacks());
+    s.gauge("ssim_trace_cache_bytes",
+            "Trace bytes currently accounted against the budget.",
+            static_cast<double>(tc.bytesHeld()));
+    s.counter("ssim_sweep_cell_retries_total",
+              "Transient-fault cell retries under hardened sweeps.",
+              totals.retries);
+    s.counter("ssim_sweep_cell_timeouts_total",
+              "Cell attempts cancelled by the watchdog deadline.",
+              totals.timeouts);
+    s.counter("ssim_sweep_cells_quarantined_total",
+              "Cells isolated after permanent failure or retry "
+              "exhaustion.",
+              totals.quarantined);
+    s.counter("ssim_sweep_cells_degraded_total",
+              "Cells that completed via live-interpretation fallback.",
+              totals.degraded);
+    s.counter("ssim_faults_injected_total",
+              "Faults fired by the SSIM_FAULT injection registry.",
+              fault::injectedCount());
+    for (std::size_t i = 0; i < kSummaries; ++i) {
+        s.summary(kSpanSummaries[i].metric, kSpanSummaries[i].help,
+                  metrics::Summary::of(std::move(seconds[i])));
     }
-    return {};
+    s.add(metrics::Registry::global());
+    return s;
 }
 
 void

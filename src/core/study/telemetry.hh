@@ -1,19 +1,20 @@
 /**
  * @file
- * Structured run telemetry writers: Chrome tracing JSON from compile
- * spans and the issue timeline, and helpers for landing a
- * StatsSnapshot on disk.  Load --trace-events output in
- * chrome://tracing or https://ui.perfetto.dev.
+ * Structured run telemetry writers: Chrome tracing JSON from
+ * flight-recorder spans and the issue timeline, the sweep metrics
+ * export, and helpers for landing a StatsSnapshot on disk.  Load
+ * --trace-events output in chrome://tracing or
+ * https://ui.perfetto.dev.
  */
 
 #ifndef SUPERSYM_CORE_STUDY_TELEMETRY_HH
 #define SUPERSYM_CORE_STUDY_TELEMETRY_HH
 
-#include <cstdint>
 #include <string>
 
 #include "core/study/driver.hh"
 #include "support/json.hh"
+#include "support/metrics.hh"
 #include "support/trace.hh"
 
 namespace ilp {
@@ -23,13 +24,17 @@ struct HardeningTotals;
 
 /**
  * Build a Chrome tracing document ({"traceEvents": [...]}) from one
- * run.  Compile spans become complete ("ph":"X") events on pid 1,
- * one tid per phase name; issue events become per-slot events on
- * pid 2, one tid per issue slot, with one simulated minor cycle
- * mapped to one microsecond of trace time.
+ * run.  `recording` is the flight-recorder session around the run's
+ * compile and execution: its spans (frontend stages, optimizer
+ * phases, bytecode lowering, the run) become complete ("ph":"X")
+ * events on pid 1, exactly as buildSweepTraceEvents renders them;
+ * issue events become per-slot events on pid 2, one tid per issue
+ * slot, with one simulated minor cycle mapped to one microsecond of
+ * trace time.
  */
 Json buildTraceEvents(const RunOutcome &outcome,
-                      const MachineConfig &machine);
+                      const MachineConfig &machine,
+                      const trace::Recording &recording);
 
 /**
  * Build a Chrome tracing document from a whole-sweep flight-recorder
@@ -42,24 +47,16 @@ Json buildSweepTraceEvents(const trace::Recording &recording,
                            const MachineConfig &machine);
 
 /**
- * Cross-check the process-global metrics registry against the
- * study's own cache counters and an expected cell count — the two
- * independent accounting paths over the same events (see
- * support/metrics.hh).  Call with a metrics registry that was reset
- * before the study ran.  @return empty when everything reconciles,
- * else a description of the first mismatch.
+ * The runtime metrics of one sweep, read from the owner of each
+ * event: the study's compile- and trace-cache counters, the hardened
+ * sweep's `totals`, fault::injectedCount(), the counters of
+ * metrics::Registry::global(), and — for every ssim_*_seconds
+ * summary and the cell count — the spans of `recording`, the
+ * flight-recorder session that covered the sweep.
  */
-std::string checkMetricsReconciliation(const Study &study,
-                                       std::uint64_t expectedCells);
-
-/**
- * The hardened-sweep variant: additionally reconciles the four
- * survivability counters (retries, timeouts, quarantined, degraded)
- * against the totals mapHardened accumulated in its own atomics.
- */
-std::string checkMetricsReconciliation(const Study &study,
-                                       std::uint64_t expectedCells,
-                                       const HardeningTotals &totals);
+metrics::Snapshot sweepMetrics(const Study &study,
+                               const HardeningTotals &totals,
+                               const trace::Recording &recording);
 
 /**
  * Write a JSON document to `path` (SS_FATAL on I/O failure).

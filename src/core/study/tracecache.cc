@@ -9,67 +9,11 @@
 #include "sim/trap.hh"
 #include "support/faultinject.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 #include "support/trace.hh"
 
 namespace ilp {
 
 namespace {
-
-// Dual accounting, same contract as CompileCache: the cache atomics
-// feed exportStats snapshots, the global counters feed the
-// process-wide metrics surface, and the two must reconcile exactly.
-metrics::Counter &
-traceCacheCounter(const char *name, const char *help)
-{
-    return metrics::Registry::global().counter(name, help);
-}
-
-metrics::Counter &
-traceHits()
-{
-    static metrics::Counter &c = traceCacheCounter(
-        "ssim_trace_cache_hits_total",
-        "Trace-cache lookups served from a recording (replays).");
-    return c;
-}
-
-metrics::Counter &
-traceMisses()
-{
-    static metrics::Counter &c = traceCacheCounter(
-        "ssim_trace_cache_misses_total",
-        "Trace-cache lookups that executed, live or recorded.");
-    return c;
-}
-
-metrics::Counter &
-traceEvictions()
-{
-    static metrics::Counter &c = traceCacheCounter(
-        "ssim_trace_cache_evictions_total",
-        "Trace-cache entries dropped to fit the byte budget.");
-    return c;
-}
-
-metrics::Counter &
-traceFallbacks()
-{
-    static metrics::Counter &c = traceCacheCounter(
-        "ssim_trace_cache_fallbacks_total",
-        "Timings run live because their recording was not "
-        "replayable.");
-    return c;
-}
-
-metrics::Gauge &
-traceBytesHeld()
-{
-    static metrics::Gauge &g = metrics::Registry::global().gauge(
-        "ssim_trace_cache_bytes",
-        "Trace bytes currently accounted against the budget.");
-    return g;
-}
 
 /** A deadline or transient-fault trap belongs to one attempt, not to
  *  the module: it must fail the attempt, never be kept. */
@@ -166,16 +110,7 @@ TraceCache::evictLocked()
         bytes_held_ -= victim->second.bytes;
         entries_.erase(victim);
         evictions_.fetch_add(1, std::memory_order_relaxed);
-        traceEvictions().inc();
     }
-    traceBytesHeld().set(static_cast<double>(bytes_held_));
-}
-
-void
-TraceCache::countMiss()
-{
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    traceMisses().inc();
 }
 
 RunOutcome
@@ -203,14 +138,13 @@ TraceCache::timedRun(const std::string &key, const Module &module,
         // traces: the timing still completes live; hardened sweeps
         // count the cell as degraded rather than failed.
         fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        traceFallbacks().inc();
         noteDegradedCell();
         return runOnMachine(module, machine, telemetry, compile);
     }
 
     // First timing of the key: nothing shows it will be reused yet,
     // so time it live and record nothing.
-    countMiss();
+    misses_.fetch_add(1, std::memory_order_relaxed);
     try {
         if (fault::enabled())
             fault::maybeInject("execute");
@@ -252,7 +186,7 @@ TraceCache::execute(const std::string &key, const Module &module)
     }
 
     if (fill) {
-        countMiss();
+        misses_.fetch_add(1, std::memory_order_relaxed);
         try {
             if (fault::enabled())
                 fault::maybeInject("execute");
@@ -286,7 +220,6 @@ TraceCache::execute(const std::string &key, const Module &module)
                     entries_.erase(it);
                     evictions_.fetch_add(1,
                                          std::memory_order_relaxed);
-                    traceEvictions().inc();
                 } else {
                     it->second.bytes = bytes;
                     it->second.ready = true;
@@ -303,7 +236,6 @@ TraceCache::execute(const std::string &key, const Module &module)
         }
     } else {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        traceHits().inc();
         // Parked on another worker's in-flight execution: make the
         // wait visible on this worker's timeline.
         if (trace::active() &&

@@ -152,8 +152,6 @@ class TraceCache
      *  bytes fit the budget.  Caller holds mu_. */
     void evictLocked();
 
-    void countMiss();
-
     mutable std::mutex mu_;
     std::map<std::string, Entry> entries_;
     /** Keys timed at least once: the next timing records. */

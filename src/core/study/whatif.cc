@@ -14,6 +14,7 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/table.hh"
+#include "support/trace.hh"
 
 namespace ilp {
 
@@ -26,16 +27,6 @@ graphBuilds()
         "ssim_depgraph_builds_total",
         "Dependence graphs constructed from a trace or live run.");
     return c;
-}
-
-metrics::Histogram &
-graphBuildSeconds()
-{
-    static metrics::Histogram &h =
-        metrics::Registry::global().histogram(
-            "ssim_depgraph_build_seconds",
-            "Wall-clock seconds per dependence-graph build.");
-    return h;
 }
 
 metrics::Counter &
@@ -90,8 +81,7 @@ DepGraphCache::get(const std::string &key,
     }
     if (fill) {
         try {
-            metrics::ScopedTimer timer(metrics::Registry::global(),
-                                       graphBuildSeconds());
+            trace::ScopedSpan span("depgraph_build", "depgraph");
             if (fault::enabled())
                 fault::maybeInject("depgraph");
             fill->set_value(

@@ -1,6 +1,6 @@
 #include "opt/pipeline.hh"
 
-#include <utility>
+#include <chrono>
 
 #include "ir/verifier.hh"
 #include "support/logging.hh"
@@ -65,7 +65,6 @@ runPhase(CompileTelemetry *telemetry, const char *name,
     ps.blocksBefore += blocks_before;
     ps.blocksAfter += func.blocks.size();
     ps.changed += changed;
-    telemetry->addSpan(std::string(name) + ":" + func.name, t0, t1);
 }
 
 } // namespace
@@ -80,21 +79,6 @@ CompileTelemetry::phase(const std::string &name)
     phases.push_back(PhaseStat{});
     phases.back().name = name;
     return phases.back();
-}
-
-void
-CompileTelemetry::addSpan(std::string name, Clock::time_point t0,
-                          Clock::time_point t1)
-{
-    if (!epoch_set_) {
-        epoch_ = t0;
-        epoch_set_ = true;
-    }
-    TraceSpan span;
-    span.name = std::move(name);
-    span.startMs = msBetween(epoch_, t0);
-    span.durMs = msBetween(t0, t1);
-    spans.push_back(std::move(span));
 }
 
 double

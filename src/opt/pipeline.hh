@@ -9,7 +9,6 @@
 #ifndef SUPERSYM_OPT_PIPELINE_HH
 #define SUPERSYM_OPT_PIPELINE_HH
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -34,15 +33,6 @@ struct PhaseStat
     std::int64_t changed = 0;
 };
 
-/** One raw timed segment ("licm:main"), for --trace-events. */
-struct TraceSpan
-{
-    std::string name;
-    /** Milliseconds relative to this telemetry's first segment. */
-    double startMs = 0.0;
-    double durMs = 0.0;
-};
-
 /**
  * Everything the compile pipeline reports about one compilation.
  * Fill by passing a pointer to optimizeModule() (and, at the driver
@@ -51,7 +41,6 @@ struct TraceSpan
 struct CompileTelemetry
 {
     std::vector<PhaseStat> phases;
-    std::vector<TraceSpan> spans;
     /** Virtual registers demoted to memory by assignRegisters. */
     std::uint64_t spills = 0;
     ScheduleStats sched;
@@ -59,19 +48,10 @@ struct CompileTelemetry
     /** Find-or-append the aggregated record for `name`. */
     PhaseStat &phase(const std::string &name);
 
-    /** Record a raw timed segment (also establishes the epoch). */
-    void addSpan(std::string name,
-                 std::chrono::steady_clock::time_point t0,
-                 std::chrono::steady_clock::time_point t1);
-
     double totalWallMs() const;
 
     /** Export into a stats group ("compile"). */
     void exportStats(stats::Group &g) const;
-
-  private:
-    bool epoch_set_ = false;
-    std::chrono::steady_clock::time_point epoch_;
 };
 
 struct OptimizeOptions

@@ -291,11 +291,6 @@ std::optional<BcImage>
 lowerModule(const Module &module)
 {
     trace::ScopedSpan span("bytecode_lower", "compile");
-    static metrics::Histogram &lower_s =
-        metrics::Registry::global().histogram(
-            "ssim_bytecode_lower_seconds",
-            "wall time lowering a module to bytecode");
-    metrics::ScopedTimer timer(metrics::Registry::global(), lower_s);
 
     BcImage image;
     image.module = &module;

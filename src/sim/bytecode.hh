@@ -199,8 +199,8 @@ struct BcImage
  * a ssim_bytecode_fallbacks_total metric — when the image cannot
  * represent the program (any function whose register file exceeds
  * 16-bit indices); the caller falls back to the interpreter.
- * Records a "bytecode_lower" compile span and the
- * ssim_bytecode_lower_seconds histogram.
+ * Records a "bytecode_lower" compile span, which the
+ * ssim_bytecode_lower_seconds summary reads.
  */
 std::optional<BcImage> lowerModule(const Module &module);
 

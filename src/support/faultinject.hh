@@ -35,7 +35,8 @@
  *
  * The disabled fast path (no SSIM_FAULT, no configure()) is one
  * relaxed atomic load per site visit.  Every injected fault is
- * counted in the ssim_faults_injected_total metric.
+ * counted by injectedCount(), which the ssim_faults_injected_total
+ * metric reads.
  */
 
 #ifndef SUPERSYM_SUPPORT_FAULTINJECT_HH
@@ -77,7 +78,7 @@ bool configure(const std::string &spec);
 /** Disarm all rules and zero the draw counters. */
 void reset();
 
-/** Total faults injected so far (mirrors the metric; for tests). */
+/** Total faults injected since the last reset(). */
 std::uint64_t injectedCount();
 
 /** Arm from $SSIM_FAULT if set; called once from the CLI edge. */

@@ -487,8 +487,8 @@ metricsSection(const Json &doc)
     if (rows.empty())
         return "";
     std::string html =
-        "<section><h2>Runtime metrics: duration histograms</h2>"
-        "<table><thead><tr><th>histogram</th>"
+        "<section><h2>Runtime metrics: duration summaries</h2>"
+        "<table><thead><tr><th>summary</th>"
         "<th class=\"num\">count</th><th class=\"num\">sum</th>"
         "<th class=\"num\">p50</th><th class=\"num\">p90</th>"
         "<th class=\"num\">p99</th></tr></thead><tbody>" +

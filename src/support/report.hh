@@ -7,7 +7,7 @@
  *     bootstrap CI band, plus the regression sentinel's verdicts),
  *   - stall breakdown and dynamic instruction mix from a --stats-json
  *     document (run- or suite-shaped),
- *   - runtime-metrics duration histograms (p50/p90/p99) from a
+ *   - runtime-metrics duration summaries (p50/p90/p99) from a
  *     --metrics-json snapshot,
  *   - the profiler's hottest source lines from a profile-v1 document.
  *

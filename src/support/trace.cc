@@ -1,7 +1,5 @@
 #include "support/trace.hh"
 
-#ifndef SSIM_NO_FLIGHT_RECORDER
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -236,5 +234,3 @@ Recorder::stop()
 }
 
 } // namespace ilp::trace
-
-#endif // SSIM_NO_FLIGHT_RECORDER

@@ -14,9 +14,7 @@
  *     SweepRunner guarantees this by construction.
  *  2. **Zero cost when off.**  With no session active, constructing a
  *     ScopedSpan is a single relaxed atomic load and a branch: no
- *     clock read, no allocation.  Configuring with
- *     -DSSIM_DISABLE_FLIGHT_RECORDER=ON compiles the recorder out
- *     entirely (every call site collapses to nothing).
+ *     clock read, no allocation.
  *  3. **Never perturb results.**  Spans observe wall time only; they
  *     touch no simulator state, so traced and untraced sweeps produce
  *     byte-identical simulation output (enforced by check.sh).
@@ -60,8 +58,6 @@ struct Recording
     /** track id -> label ("worker 3"), sorted by track. */
     std::vector<std::pair<std::uint32_t, std::string>> tracks;
 };
-
-#ifndef SSIM_NO_FLIGHT_RECORDER
 
 /** Is a recording session active?  One relaxed load. */
 bool active();
@@ -131,39 +127,6 @@ class Recorder
   private:
     Recorder() = default;
 };
-
-#else // SSIM_NO_FLIGHT_RECORDER: every call site compiles to nothing.
-
-inline bool active() { return false; }
-inline void annotateCurrentSpan(const std::string &) {}
-inline void setThreadTrack(std::uint32_t, const std::string &) {}
-
-class ScopedSpan
-{
-  public:
-    ScopedSpan(const char *, const char *) {}
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-    bool armed() const { return false; }
-    void detail(const std::string &) {}
-};
-
-class Recorder
-{
-  public:
-    static Recorder &instance()
-    {
-        static Recorder r;
-        return r;
-    }
-    void start() {}
-    Recording stop() { return {}; }
-
-  private:
-    Recorder() = default;
-};
-
-#endif // SSIM_NO_FLIGHT_RECORDER
 
 } // namespace ilp::trace
 

@@ -5,8 +5,7 @@
  * trace-cache fallbacks, the chaos differential (a faulted sweep
  * with retries equals a clean sweep, value for value, at any job
  * count), trap containment through the trace cache under
- * keep-going, and exact reconciliation between mapHardened's totals
- * and the process-global metric counters.
+ * keep-going, and the metrics export reading mapHardened's totals.
  */
 
 #include <atomic>
@@ -19,10 +18,12 @@
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
 #include "core/study/sweep.hh"
+#include "core/study/telemetry.hh"
 #include "sim/cancel.hh"
 #include "sim/trap.hh"
 #include "support/faultinject.hh"
 #include "support/metrics.hh"
+#include "support/trace.hh"
 
 namespace ilp {
 namespace {
@@ -529,17 +530,16 @@ TEST_F(ChaosTest, InjectedTrapOnLiveFirstTimingIsRetried)
     EXPECT_EQ(fresh.traceCache().fallbacks(), 0u);
 }
 
-// ------------------------------------------ metrics reconciliation
+// --------------------------------------------- the metrics export
 
-TEST_F(ChaosTest, TotalsReconcileExactlyWithGlobalMetrics)
+TEST_F(ChaosTest, ExportedSurvivabilityCountersAreTheSweepTotals)
 {
-    metrics::Registry &reg = metrics::Registry::global();
-    reg.reset();
     SweepRunner runner(4);
     CellPolicy policy;
     policy.maxRetries = 2;
     policy.keepGoing = true;
     std::vector<std::atomic<int>> calls(12);
+    trace::Recorder::instance().start();
     HardenedSweep<int> hs = runner.mapHardened<int>(
         12, policy, [&](std::size_t i) -> int {
             const int call = calls[i].fetch_add(1);
@@ -549,20 +549,29 @@ TEST_F(ChaosTest, TotalsReconcileExactlyWithGlobalMetrics)
                 throw DiagException(transientDiag()); // exhausts
             return static_cast<int>(i);
         });
-    EXPECT_EQ(reg.counter("ssim_sweep_cell_retries_total").value(),
-              hs.totals.retries);
-    EXPECT_EQ(reg.counter("ssim_sweep_cell_timeouts_total").value(),
-              hs.totals.timeouts);
-    EXPECT_EQ(
-        reg.counter("ssim_sweep_cells_quarantined_total").value(),
-        hs.totals.quarantined);
-    EXPECT_EQ(
-        reg.counter("ssim_sweep_cells_degraded_total").value(),
-        hs.totals.degraded);
+    const trace::Recording rec = trace::Recorder::instance().stop();
     // Cells 1/5/9 retry once each; cells 2/6/10 burn both retries
     // before quarantine.
     EXPECT_EQ(hs.totals.retries, 9u);
     EXPECT_EQ(hs.totals.quarantined, 3u);
+
+    const Study study(1);
+    const Json doc = sweepMetrics(study, hs.totals, rec).json();
+    EXPECT_EQ(doc.at("ssim_sweep_cell_retries_total.value")->asNumber(),
+              9.0);
+    EXPECT_EQ(doc.at("ssim_sweep_cell_timeouts_total.value")->asNumber(),
+              0.0);
+    EXPECT_EQ(
+        doc.at("ssim_sweep_cells_quarantined_total.value")->asNumber(),
+        3.0);
+    EXPECT_EQ(
+        doc.at("ssim_sweep_cells_degraded_total.value")->asNumber(),
+        0.0);
+    // One cell span per cell, however many attempts it took; the
+    // quarantined cells are the failed ones.
+    EXPECT_EQ(doc.at("ssim_sweep_cells_total.value")->asNumber(), 12.0);
+    EXPECT_EQ(doc.at("ssim_sweep_cells_failed_total.value")->asNumber(),
+              3.0);
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
- * The observability layer end to end: metrics (counters, gauges,
- * bounded-error histograms, Prometheus exposition), the span flight
- * recorder (nested spans, worker tracks, concurrent recording — run
- * under TSan in CI), the sweep trace-events writer, the
- * metrics-vs-stats reconciliation invariant, keep-going degradation
+ * The observability layer end to end: metrics (registry counters,
+ * exact span summaries, JSON and Prometheus exposition), the span
+ * flight recorder (nested spans, worker tracks, concurrent recording
+ * — run under TSan in CI), the sweep trace-events writer, the sweep
+ * metrics export read from each event's owner, keep-going degradation
  * (a trapped cell annotates its span instead of truncating the worker
  * timeline), and the live progress reporter.
  */
@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,6 +22,8 @@
 #include "core/study/progress.hh"
 #include "core/study/sweep.hh"
 #include "core/study/telemetry.hh"
+#include "support/diag.hh"
+#include "support/faultinject.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
 
@@ -29,171 +31,9 @@ using namespace ilp;
 
 namespace {
 
-// ------------------------------------------------- histogram accuracy
-
-/** Deterministic xorshift stream — no <random> seeding ambiguity. */
-std::uint64_t
-nextRand(std::uint64_t &s)
-{
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    return s;
-}
-
-double
-exactQuantile(std::vector<double> sorted, double q)
-{
-    const auto n = sorted.size();
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(n)));
-    if (rank == 0)
-        rank = 1;
-    return sorted[rank - 1];
-}
-
-TEST(HistogramTest, QuantilesTrackExactOrderStatistics)
-{
-    // The log-linear bucketing bounds the relative error of any
-    // quantile by ~1/kSubBuckets; allow 2/kSubBuckets for the
-    // midpoint representation.
-    metrics::Registry reg;
-    metrics::Histogram &h = reg.histogram("t_seconds");
-
-    std::uint64_t seed = 0x9e3779b97f4a7c15ull;
-    std::vector<double> samples;
-    for (int i = 0; i < 20000; ++i) {
-        // Span ~6 decades, like real phase durations do.
-        const double u =
-            static_cast<double>(nextRand(seed) % 1000000) / 1000000.0;
-        samples.push_back(std::pow(10.0, -6.0 + 6.0 * u));
-        h.observe(samples.back());
-    }
-    std::sort(samples.begin(), samples.end());
-
-    const double tol =
-        2.0 / static_cast<double>(metrics::Histogram::kSubBuckets);
-    for (double q : {0.5, 0.9, 0.99}) {
-        const double exact = exactQuantile(samples, q);
-        const double est = h.quantile(q);
-        EXPECT_NEAR(est / exact, 1.0, tol)
-            << "q=" << q << " exact=" << exact << " est=" << est;
-    }
-    EXPECT_EQ(h.count(), 20000u);
-}
-
-TEST(HistogramTest, BucketRoundTripStaysWithinOneSubBucket)
-{
-    for (double v :
-         {1e-10, 3.7e-4, 0.5, 1.0, 1.5, 2.0, 3.14159, 1e6}) {
-        const int idx = metrics::Histogram::bucketIndex(v);
-        const double rep = metrics::Histogram::bucketValue(idx);
-        const double err = std::abs(rep - v) / v;
-        EXPECT_LT(err, 1.0 / metrics::Histogram::kSubBuckets)
-            << "v=" << v << " rep=" << rep;
-    }
-}
-
-TEST(HistogramTest, DegenerateObservationsLandInTheFloorBucket)
-{
-    metrics::Registry reg;
-    metrics::Histogram &h = reg.histogram("t");
-    h.observe(0.0);
-    h.observe(-3.0);
-    h.observe(std::nan(""));
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.quantile(0.5), 0.0); // floor bucket represents zero
-    EXPECT_EQ(metrics::Histogram::bucketIndex(0.0), 0);
-    EXPECT_EQ(metrics::Histogram::bucketIndex(-1.0), 0);
-}
-
-TEST(HistogramTest, EmptyHistogramQuantileIsZero)
-{
-    metrics::Registry reg;
-    EXPECT_EQ(reg.histogram("t").quantile(0.99), 0.0);
-}
-
-TEST(HistogramTest, MergeMatchesObservingTheUnion)
-{
-    // Identical log-linear bucketing on both sides makes merge()
-    // exact: bucket-wise sums give the same counts, sum, and
-    // quantiles as observing every sample into one histogram.
-    metrics::Registry reg;
-    metrics::Histogram &a = reg.histogram("a");
-    metrics::Histogram &b = reg.histogram("b");
-    metrics::Histogram &u = reg.histogram("union");
-
-    std::uint64_t seed = 0xdecafbadull;
-    for (int i = 0; i < 5000; ++i) {
-        const double x =
-            static_cast<double>(nextRand(seed) % 1000000) / 1000.0;
-        const double y =
-            static_cast<double>(nextRand(seed) % 1000000) / 7.0;
-        a.observe(x);
-        b.observe(y);
-        u.observe(x);
-        u.observe(y);
-    }
-    a.merge(b);
-
-    EXPECT_EQ(a.count(), u.count());
-    // Addition order differs (a's total + b's total vs interleaved
-    // observes), so the sums agree only up to rounding.
-    EXPECT_NEAR(a.sum(), u.sum(), 1e-9 * u.sum());
-    for (double q : {0.01, 0.5, 0.9, 0.99})
-        EXPECT_EQ(a.quantile(q), u.quantile(q)) << "q=" << q;
-}
-
-TEST(HistogramTest, MergePreservesTheQuantileErrorBound)
-{
-    // Quantiles of a merged histogram keep the single-histogram
-    // worst-case relative error: shards see disjoint decade ranges,
-    // the merged view must still track the exact order statistics of
-    // the union within 2/kSubBuckets.
-    metrics::Registry reg;
-    metrics::Histogram &lo = reg.histogram("lo");
-    metrics::Histogram &hi = reg.histogram("hi");
-
-    std::uint64_t seed = 0x5eedull;
-    std::vector<double> all;
-    for (int i = 0; i < 10000; ++i) {
-        const double u =
-            static_cast<double>(nextRand(seed) % 1000000) / 1000000.0;
-        const double small = std::pow(10.0, -6.0 + 3.0 * u);
-        const double large = std::pow(10.0, 0.0 + 3.0 * u);
-        lo.observe(small);
-        hi.observe(large);
-        all.push_back(small);
-        all.push_back(large);
-    }
-    lo.merge(hi);
-    std::sort(all.begin(), all.end());
-
-    EXPECT_EQ(lo.count(), all.size());
-    const double tol =
-        2.0 / static_cast<double>(metrics::Histogram::kSubBuckets);
-    for (double q : {0.1, 0.5, 0.9, 0.99}) {
-        const double exact = exactQuantile(all, q);
-        const double est = lo.quantile(q);
-        EXPECT_NEAR(est / exact, 1.0, tol)
-            << "q=" << q << " exact=" << exact << " est=" << est;
-    }
-}
-
-TEST(HistogramTest, MergingAnEmptyHistogramIsANoOp)
-{
-    metrics::Registry reg;
-    metrics::Histogram &a = reg.histogram("a");
-    metrics::Histogram &empty = reg.histogram("empty");
-    a.observe(1.5);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 1u);
-    EXPECT_DOUBLE_EQ(a.sum(), 1.5);
-}
-
 // -------------------------------------------------- registry plumbing
 
-TEST(MetricsRegistryTest, CountersGaugesAndLookupStability)
+TEST(MetricsRegistryTest, CountersAndLookupStability)
 {
     metrics::Registry reg;
     metrics::Counter &c = reg.counter("a_total", "help a");
@@ -202,39 +42,48 @@ TEST(MetricsRegistryTest, CountersGaugesAndLookupStability)
     EXPECT_EQ(c.value(), 5u);
     // Same name returns the same instance.
     EXPECT_EQ(&reg.counter("a_total"), &c);
-
-    metrics::Gauge &g = reg.gauge("g");
-    g.set(2.5);
-    EXPECT_DOUBLE_EQ(g.value(), 2.5);
+    ASSERT_EQ(reg.counters().size(), 1u);
+    EXPECT_EQ(reg.counters()[0], &c);
 
     reg.reset();
     EXPECT_EQ(c.value(), 0u);
-    EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
-TEST(MetricsRegistryTest, DisabledRegistryDropsEveryUpdate)
-{
-    metrics::Registry reg(false);
-    metrics::Counter &c = reg.counter("a_total");
-    metrics::Histogram &h = reg.histogram("h");
-    c.inc(7);
-    h.observe(1.0);
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(h.count(), 0u);
+// --------------------------------------------------- snapshot export
 
-    reg.setEnabled(true);
-    c.inc(7);
-    EXPECT_EQ(c.value(), 7u);
+TEST(MetricsSnapshotTest, SummaryQuantilesAreExactNearestRank)
+{
+    // 1..100 shuffled: the q-quantile is the ceil(100 q)-th smallest.
+    std::vector<double> samples;
+    for (int i = 100; i >= 1; --i)
+        samples.push_back(static_cast<double>((i * 37) % 100 + 1));
+    const metrics::Summary s = metrics::Summary::of(samples);
+    EXPECT_EQ(s.count, 100u);
+    EXPECT_DOUBLE_EQ(s.sum, 5050.0);
+    EXPECT_DOUBLE_EQ(s.p50, 50.0);
+    EXPECT_DOUBLE_EQ(s.p90, 90.0);
+    EXPECT_DOUBLE_EQ(s.p99, 99.0);
+
+    const metrics::Summary one = metrics::Summary::of({2.5});
+    EXPECT_EQ(one.count, 1u);
+    EXPECT_DOUBLE_EQ(one.p50, 2.5);
+    EXPECT_DOUBLE_EQ(one.p99, 2.5);
+
+    const metrics::Summary none = metrics::Summary::of({});
+    EXPECT_EQ(none.count, 0u);
+    EXPECT_DOUBLE_EQ(none.sum, 0.0);
+    EXPECT_DOUBLE_EQ(none.p99, 0.0);
 }
 
-TEST(MetricsRegistryTest, PrometheusExpositionShape)
+TEST(MetricsSnapshotTest, PrometheusExpositionShape)
 {
-    metrics::Registry reg;
-    reg.counter("ssim_x_total", "Things counted.").inc(3);
-    reg.gauge("ssim_bytes", "Bytes held.").set(128);
-    reg.histogram("ssim_t_seconds", "Durations.").observe(2.0);
+    metrics::Snapshot snap;
+    snap.counter("ssim_x_total", "Things counted.", 3);
+    snap.gauge("ssim_bytes", "Bytes held.", 128);
+    snap.summary("ssim_t_seconds", "Durations.",
+                 metrics::Summary::of({2.0}));
 
-    const std::string text = reg.prometheus();
+    const std::string text = snap.prometheus();
     EXPECT_NE(text.find("# HELP ssim_x_total Things counted.\n"),
               std::string::npos);
     EXPECT_NE(text.find("# TYPE ssim_x_total counter\n"),
@@ -245,26 +94,31 @@ TEST(MetricsRegistryTest, PrometheusExpositionShape)
     EXPECT_NE(text.find("ssim_bytes 128\n"), std::string::npos);
     EXPECT_NE(text.find("# TYPE ssim_t_seconds summary\n"),
               std::string::npos);
-    EXPECT_NE(text.find("ssim_t_seconds{quantile=\"0.99\"}"),
+    EXPECT_NE(text.find("ssim_t_seconds{quantile=\"0.99\"} 2\n"),
               std::string::npos);
     EXPECT_NE(text.find("ssim_t_seconds_sum 2\n"), std::string::npos);
     EXPECT_NE(text.find("ssim_t_seconds_count 1\n"),
               std::string::npos);
 }
 
-TEST(MetricsRegistryTest, JsonSnapshotRoundTrips)
+TEST(MetricsSnapshotTest, JsonSnapshotRoundTrips)
 {
     metrics::Registry reg;
     reg.counter("c_total", "c help").inc(2);
-    reg.histogram("h_seconds").observe(1.0);
-    const Json doc = reg.json();
+    metrics::Snapshot snap;
+    snap.add(reg);
+    snap.summary("h_seconds", "", metrics::Summary::of({1.0}));
+    const Json doc = snap.json();
     Json parsed;
     std::string error;
     ASSERT_TRUE(Json::tryParse(doc.dump(2), parsed, &error)) << error;
     ASSERT_NE(parsed.at("c_total.type"), nullptr);
     EXPECT_EQ(parsed.at("c_total.type")->asString(), "counter");
+    EXPECT_EQ(parsed.at("c_total.help")->asString(), "c help");
     EXPECT_EQ(parsed.at("c_total.value")->asNumber(), 2.0);
+    EXPECT_EQ(parsed.at("h_seconds.type")->asString(), "summary");
     EXPECT_EQ(parsed.at("h_seconds.value.count")->asNumber(), 1.0);
+    EXPECT_EQ(parsed.at("h_seconds.value.p90")->asNumber(), 1.0);
 }
 
 // ------------------------------------------------------ span recorder
@@ -434,40 +288,114 @@ TEST(FlightRecorderTest, KeepGoingCellAnnotatesSpanWithErrorCode)
     EXPECT_EQ(annotated, 1u);
 }
 
-// --------------------------------------- metrics-vs-stats reconciling
+// ------------------------------------- the export reads its owners
 
-TEST(ReconciliationTest, MetricsAgreeWithStudyCountersExactly)
+TEST(MetricsExportTest, EveryMetricIsReadFromItsOwner)
 {
+    // A small hardened sweep, recorded: the exported counters must be
+    // the values of the objects that own them, and every duration
+    // summary must summarise exactly the recorded spans of its name.
     metrics::Registry::global().reset();
     Study study(4);
     const Workload &w = workloadByName("yacc");
-    study.runner().run(6, [&](std::size_t i) {
-        study.speedup(w, idealSuperscalar(static_cast<int>(i % 3) + 1));
-    });
+    CellPolicy policy;
+    policy.maxRetries = 2;
+    policy.keepGoing = true;
+    std::vector<std::atomic<int>> calls(6);
 
-    EXPECT_EQ(checkMetricsReconciliation(study, 6), "");
+    trace::Recorder::instance().start();
+    const HardenedSweep<double> hs = study.runner().mapHardened<double>(
+        6, policy, [&](std::size_t i) {
+            if (i == 4 && calls[i].fetch_add(1) == 0) {
+                throw DiagException(
+                    Diag{Severity::Error, ErrCode::TrapTransientFault,
+                         "synthetic transient fault", {}});
+            }
+            return study.speedup(
+                w, idealSuperscalar(static_cast<int>(i % 3) + 1));
+        });
+    const trace::Recording rec = trace::Recorder::instance().stop();
+    ASSERT_EQ(hs.totals.retries, 1u);
 
-    // The same invariant spelled out against exportStats, the
-    // stats-side export the CLI serves.
-    stats::Registry statsReg;
-    study.compileCache().exportStats(
-        statsReg.group("compile_cache", ""));
-    study.traceCache().exportStats(statsReg.group("trace_cache", ""));
-    const stats::StatsSnapshot snap = statsReg.snapshot();
-    metrics::Registry &reg = metrics::Registry::global();
-    EXPECT_EQ(
-        static_cast<double>(
-            reg.counter("ssim_compile_cache_hits_total").value()),
-        snap.number("compile_cache.hits"));
-    EXPECT_EQ(
-        static_cast<double>(
-            reg.counter("ssim_trace_cache_misses_total").value()),
-        snap.number("trace_cache.misses"));
-    EXPECT_EQ(reg.counter("ssim_sweep_cells_total").value(), 6u);
+    const Json doc = sweepMetrics(study, hs.totals, rec).json();
+    // value("ssim_x_total") reads a counter or gauge,
+    // value("ssim_y_seconds.p50") one field of a summary.
+    auto value = [&](const std::string &path) {
+        const std::size_t dot = path.find('.');
+        const std::string name = path.substr(0, dot);
+        const Json *v = doc.at(
+            name + ".value" +
+            (dot == std::string::npos ? "" : path.substr(dot)));
+        EXPECT_NE(v, nullptr) << path;
+        return v ? v->asNumber() : -1.0;
+    };
+    const auto count = [](std::uint64_t n) {
+        return static_cast<double>(n);
+    };
+    EXPECT_EQ(value("ssim_compile_cache_hits_total"),
+              count(study.compileCache().hits()));
+    EXPECT_EQ(value("ssim_compile_cache_misses_total"),
+              count(study.compileCache().misses()));
+    EXPECT_EQ(value("ssim_compile_cache_failures_total"),
+              count(study.compileCache().failures()));
+    EXPECT_EQ(value("ssim_trace_cache_hits_total"),
+              count(study.traceCache().hits()));
+    EXPECT_EQ(value("ssim_trace_cache_misses_total"),
+              count(study.traceCache().misses()));
+    EXPECT_EQ(value("ssim_trace_cache_evictions_total"),
+              count(study.traceCache().evictions()));
+    EXPECT_EQ(value("ssim_trace_cache_fallbacks_total"),
+              count(study.traceCache().fallbacks()));
+    EXPECT_EQ(value("ssim_trace_cache_bytes"),
+              count(study.traceCache().bytesHeld()));
+    EXPECT_EQ(value("ssim_sweep_cell_retries_total"),
+              count(hs.totals.retries));
+    EXPECT_EQ(value("ssim_sweep_cell_timeouts_total"),
+              count(hs.totals.timeouts));
+    EXPECT_EQ(value("ssim_sweep_cells_quarantined_total"),
+              count(hs.totals.quarantined));
+    EXPECT_EQ(value("ssim_sweep_cells_degraded_total"),
+              count(hs.totals.degraded));
+    EXPECT_EQ(value("ssim_faults_injected_total"),
+              count(fault::injectedCount()));
+    EXPECT_EQ(value("ssim_sweep_cells_total"), 6.0);
+    EXPECT_GT(value("ssim_compile_cache_misses_total"), 0.0);
 
-    // A perturbed counter must be caught.
-    reg.counter("ssim_sweep_cells_total").inc();
-    EXPECT_NE(checkMetricsReconciliation(study, 6), "");
+    const std::pair<const char *, const char *> summaries[] = {
+        {"cell", "ssim_sweep_cell_seconds"},
+        {"compile", "ssim_compile_seconds"},
+        {"live_run", "ssim_live_run_seconds"},
+        {"execute", "ssim_execute_seconds"},
+        {"replay", "ssim_replay_seconds"},
+        {"bytecode_lower", "ssim_bytecode_lower_seconds"},
+        {"depgraph_build", "ssim_depgraph_build_seconds"},
+    };
+    for (const auto &[span, metric] : summaries) {
+        SCOPED_TRACE(metric);
+        std::uint64_t spans = 0;
+        double longest = 0.0;
+        for (const trace::Span &s : rec.spans) {
+            if (std::string(s.name) == span) {
+                ++spans;
+                longest = std::max(longest, s.durUs / 1e6);
+            }
+        }
+        const std::string m = metric;
+        EXPECT_EQ(doc.at(m + ".type")->asString(), "summary");
+        EXPECT_EQ(value(m + ".count"), count(spans));
+        const double p50 = value(m + ".p50");
+        const double p90 = value(m + ".p90");
+        const double p99 = value(m + ".p99");
+        EXPECT_LE(p50, p90);
+        EXPECT_LE(p90, p99);
+        EXPECT_LE(p99, longest);
+    }
+    // The sweep compiled, executed and timed: the summaries are not
+    // vacuous.
+    EXPECT_EQ(value("ssim_sweep_cell_seconds.count"), 6.0);
+    EXPECT_EQ(value("ssim_compile_seconds.count"),
+              count(study.compileCache().misses()));
+    EXPECT_GT(value("ssim_live_run_seconds.count"), 0.0);
 }
 
 // ------------------------------------------------------ live progress

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/machine/models.hh"
 #include "core/study/driver.hh"
 #include "core/study/telemetry.hh"
+#include "support/trace.hh"
 
 namespace ilp {
 namespace {
@@ -125,13 +130,11 @@ TEST(TelemetryTest, CompilePhasesRecorded)
     EXPECT_GT(out.stats.number("compile.sched_fill_rate"), 0.0);
     EXPECT_LE(out.stats.number("compile.sched_fill_rate"), 1.0);
 
-    // Telemetry rides in the outcome too, with raw spans for the
-    // trace writer.
+    // Telemetry rides in the outcome too.
     EXPECT_FALSE(out.compile.phases.empty());
-    EXPECT_FALSE(out.compile.spans.empty());
-    for (const auto &span : out.compile.spans) {
-        EXPECT_GE(span.startMs, 0.0);
-        EXPECT_GE(span.durMs, 0.0);
+    for (const PhaseStat &ps : out.compile.phases) {
+        EXPECT_GE(ps.wallMs, 0.0);
+        EXPECT_GT(ps.runs, 0u);
     }
 }
 
@@ -151,11 +154,16 @@ TEST(TelemetryTest, TimelineRespectsLimit)
 
 TEST(TelemetryTest, TraceEventsDocumentIsWellFormed)
 {
+    // The compile track comes from the flight-recorder session that
+    // covered the compile and the run, as `ssim run --trace-events`
+    // records it.
     Workload w = tinyWorkload();
     MachineConfig m = idealSuperscalar(4);
+    trace::Recorder::instance().start();
     RunOutcome out =
         runWorkload(w, m, defaultCompileOptions(w), fullTelemetry());
-    Json doc = buildTraceEvents(out, m);
+    const trace::Recording rec = trace::Recorder::instance().stop();
+    Json doc = buildTraceEvents(out, m, rec);
 
     // Chrome tracing JSON object format: a traceEvents array whose
     // entries carry name/ph/pid/tid, with ts/dur on "X" events.
@@ -166,6 +174,7 @@ TEST(TelemetryTest, TraceEventsDocumentIsWellFormed)
     ASSERT_GT(events->size(), 0u);
 
     std::size_t complete = 0;
+    std::vector<std::string> compileTrack;
     for (const Json &e : events->asArray()) {
         ASSERT_TRUE(e.isObject());
         ASSERT_NE(e.find("name"), nullptr);
@@ -179,12 +188,28 @@ TEST(TelemetryTest, TraceEventsDocumentIsWellFormed)
             ASSERT_NE(e.find("dur"), nullptr);
             EXPECT_GE(e.find("ts")->asNumber(), 0.0);
             EXPECT_GE(e.find("dur")->asNumber(), 0.0);
+            if (e.find("pid")->asNumber() == 1.0 &&
+                e.find("cat")->asString() == "compile")
+                compileTrack.push_back(e.find("name")->asString());
         } else {
             EXPECT_EQ(ph, "M");
         }
     }
-    // Both compile spans and issue events made it in.
-    EXPECT_GT(complete, out.compile.spans.size());
+    // Every recorded span and every issue event made it in, and the
+    // compile track holds the frontend stages and every optimizer
+    // phase the compile ran.
+    EXPECT_EQ(complete, rec.spans.size() + out.issueTimeline.size());
+    auto onTrack = [&](const std::string &name) {
+        return std::find(compileTrack.begin(), compileTrack.end(),
+                         name) != compileTrack.end();
+    };
+    EXPECT_TRUE(onTrack("frontend.parse"));
+    EXPECT_TRUE(onTrack("frontend.lower"));
+    for (const PhaseStat &ps : out.compile.phases) {
+        if (ps.name != "frontend") {
+            EXPECT_TRUE(onTrack(ps.name)) << ps.name;
+        }
+    }
 
     // And the whole document survives a serialize/parse round-trip.
     EXPECT_EQ(Json::parse(doc.dump(2)), doc);

@@ -14,7 +14,6 @@
 #include "core/study/experiment.hh"
 #include "core/study/sweep.hh"
 #include "core/study/tracecache.hh"
-#include "support/metrics.hh"
 #include "tests/helpers.hh"
 
 namespace ilp {
@@ -115,8 +114,8 @@ TEST(TraceCacheTest, SetBudgetShrinkEvictsDownDeterministically)
 {
     // Regression for the shrink path: setBudget below the held bytes
     // must evict immediately (not wait for the next execute), in LRU
-    // order, and the cache atomics must reconcile with the global
-    // metrics counters that mirror them.
+    // order, and the cache's own counters (what the metrics export
+    // reads) must show it.
     Module m = compiledFor(smallWorkload(), idealSuperscalar(4));
     TraceCache cache;
     auto a = cache.execute("a", m);
@@ -127,20 +126,11 @@ TEST(TraceCacheTest, SetBudgetShrinkEvictsDownDeterministically)
     const std::size_t one = a->byteSize();
     ASSERT_EQ(cache.bytesHeld(), 3 * one);
 
-    auto &evTotal = metrics::Registry::global().counter(
-        "ssim_trace_cache_evictions_total");
-    auto &bytesGauge = metrics::Registry::global().gauge(
-        "ssim_trace_cache_bytes");
-    const std::uint64_t evBefore = evTotal.value();
-
     cache.setBudget(one); // room for exactly one entry
     EXPECT_EQ(cache.evictions(), 2u); // b then c went out, not a
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.bytesHeld(), one);
     EXPECT_LE(cache.bytesHeld(), cache.budget());
-    EXPECT_EQ(evTotal.value() - evBefore, 2u);
-    EXPECT_DOUBLE_EQ(bytesGauge.value(),
-                     static_cast<double>(cache.bytesHeld()));
 
     // The survivor is the most recently used entry, served as a hit.
     const std::uint64_t hitsBefore = cache.hits();
