@@ -86,6 +86,20 @@ namespace {
  * checksum (and fpChecksum, which the caller must not have read) stay
  * at their zero defaults.
  */
+/** Replays one packed stream into the engine and the data cache. */
+struct TimedWithCache
+{
+    IssueEngine &engine;
+    CacheSink &dcache;
+
+    void
+    emitBatch(const PackedInstr *records, std::size_t n)
+    {
+        engine.emitBatch(records, n);
+        dcache.emitBatch(records, n);
+    }
+};
+
 RunOutcome
 assembleOutcome(const RunResult &r, double fpChecksum,
                 IssueEngine &engine, CacheSink &dcache,
@@ -160,18 +174,11 @@ runOnMachine(const Module &module, const MachineConfig &machine,
     if (telemetry.collectProfile)
         engine.enableProfile(module.pcCount());
 
+    // Fused: the backend stages records for the engine's batch core
+    // (and the data cache when stats are on).
     CacheSink dcache(telemetry.cache);
-    RunResult r;
-    if (telemetry.collectStats) {
-        TeeSink tee;
-        tee.addSink(&engine);
-        tee.addSink(&dcache);
-        r = exec->run("main", &tee);
-    } else {
-        // Fused: the backend binds the engine's emit directly into
-        // its dispatch loop.
-        r = exec->runTimed("main", engine);
-    }
+    RunResult r = exec->runTimed(
+        "main", engine, telemetry.collectStats ? &dcache : nullptr);
 
     double fpChecksum = 0.0;
     if (!r.trapped() && module.findGlobal("result_fp")) {
@@ -221,10 +228,8 @@ timeTrace(const TraceArtifact &artifact, const MachineConfig &machine,
 
     CacheSink dcache(telemetry.cache);
     if (telemetry.collectStats) {
-        TeeSink tee;
-        tee.addSink(&engine);
-        tee.addSink(&dcache);
-        artifact.trace.replay(tee);
+        TimedWithCache both{engine, dcache};
+        artifact.trace.replay(both);
     } else {
         artifact.trace.replay(engine);
     }

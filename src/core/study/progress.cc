@@ -39,6 +39,16 @@ renderDuration(double seconds)
     return buf;
 }
 
+/** Time left for `total - done` cells at `rate` cells/s: "-" while
+ *  unknown, "0s" once every cell is done. */
+std::string
+renderEta(std::size_t total, std::size_t done, double rate)
+{
+    if (total > done && rate > 0.0)
+        return renderDuration(static_cast<double>(total - done) / rate);
+    return total != 0 && done >= total ? "0s" : "-";
+}
+
 std::string
 renderPercent(std::uint64_t hits, std::uint64_t misses)
 {
@@ -185,13 +195,7 @@ ProgressReporter::renderLine(double elapsedSeconds) const
     // cache-hot) start stops skewing the ETA once a window of cells
     // has finished.
     const double rate = windowRate(elapsedSeconds);
-    std::string eta = "-";
-    if (config_.totalCells > done && rate > 0.0) {
-        eta = renderDuration(
-            static_cast<double>(config_.totalCells - done) / rate);
-    } else if (config_.totalCells != 0 && done >= config_.totalCells) {
-        eta = "0s";
-    }
+    const std::string eta = renderEta(config_.totalCells, done, rate);
     // Worker utilization: busy worker-seconds over available
     // worker-seconds so far.
     const int jobs = config_.jobs > 0 ? config_.jobs : 1;

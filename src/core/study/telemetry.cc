@@ -212,6 +212,9 @@ sweepMetrics(const Study &study, const HardeningTotals &totals,
     s.gauge("ssim_trace_cache_bytes",
             "Trace bytes currently accounted against the budget.",
             static_cast<double>(tc.bytesHeld()));
+    s.counter("ssim_depgraph_builds_total",
+              "Dependence graphs constructed from a trace or live run.",
+              study.graphCache().builds());
     s.counter("ssim_sweep_cell_retries_total",
               "Transient-fault cell retries under hardened sweeps.",
               totals.retries);

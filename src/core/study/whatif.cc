@@ -21,15 +21,6 @@ namespace ilp {
 namespace {
 
 metrics::Counter &
-graphBuilds()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_depgraph_builds_total",
-        "Dependence graphs constructed from a trace or live run.");
-    return c;
-}
-
-metrics::Counter &
 whatifQueries()
 {
     static metrics::Counter &c = metrics::Registry::global().counter(
@@ -86,7 +77,7 @@ DepGraphCache::get(const std::string &key,
                 fault::maybeInject("depgraph");
             fill->set_value(
                 std::make_shared<const DepGraph>(build()));
-            graphBuilds().inc();
+            builds_.fetch_add(1);
         } catch (...) {
             // No poisoned waiters: current waiters see the exception,
             // later requesters retry the build.

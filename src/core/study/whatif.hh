@@ -63,6 +63,8 @@ class DepGraphCache
 
     std::uint64_t hits() const { return hits_.load(); }
     std::uint64_t misses() const { return misses_.load(); }
+    /** Graphs built successfully (a failed build is a miss only). */
+    std::uint64_t builds() const { return builds_.load(); }
     std::size_t size() const;
     /** Node-storage bytes across resident graphs. */
     std::size_t bytesHeld() const;
@@ -74,6 +76,7 @@ class DepGraphCache
     std::map<std::string, std::shared_future<Graph>> entries_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
+    std::atomic<std::uint64_t> builds_{0};
 };
 
 namespace whatif {

@@ -1,6 +1,8 @@
 #include "sim/bytecode.hh"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <unordered_map>
 
 #include "sim/semantics.hh"
@@ -25,12 +27,6 @@ reg16(Reg r)
 {
     return r == kNoReg ? BcInstr::kNone16
                        : static_cast<std::uint16_t>(r);
-}
-
-Reg
-reg32(std::uint16_t r)
-{
-    return r == BcInstr::kNone16 ? kNoReg : static_cast<Reg>(r);
 }
 
 /** Does every register operand of `in` fit the 16-bit encoding and
@@ -87,6 +83,28 @@ terminated(const BasicBlock &bb)
         return false;
     const Opcode op = bb.instrs.back().op;
     return op == Opcode::Br || op == Opcode::Jmp || op == Opcode::Ret;
+}
+
+/**
+ * The leading 8 bytes of the packed record an instruction traces, as
+ * one word (BcInstr::record): opcode, dst and the traced sources
+ * (kNoReg ones skipped), i.e. everything but the word address and the
+ * pc.  Memory opcodes set the has-address flag; the VM fills the word.
+ */
+std::uint64_t
+packedHead(Opcode op, Reg dst, Reg src1, Reg src2)
+{
+    DynInstr di;
+    di.op = op;
+    di.dst = dst;
+    di.addSrc(src1);
+    di.addSrc(src2);
+    if (isMem(op))
+        di.addr = 0;
+    const PackedInstr rec = PackedInstr::pack(di);
+    std::uint64_t head = 0;
+    std::memcpy(&head, &rec, sizeof head);
+    return head;
 }
 
 metrics::Counter &
@@ -156,16 +174,18 @@ lowerFunction(const Module &module, const Function &func,
             if (!regsFit(in, nregs))
                 return false;
             BcInstr bc;
-            bc.srcOp = static_cast<std::uint8_t>(in.op);
             bc.cls = static_cast<std::uint8_t>(opcodeClass(in.op));
             bc.dst = reg16(in.dst);
             bc.a = reg16(in.src1);
             bc.b = reg16(in.src2);
             bc.pc = in.pc;
             bc.imm = in.imm;
-            bc.flags = static_cast<std::uint8_t>(
-                (in.src1 != kNoReg ? BcInstr::kSrcA : 0) |
-                (in.src2 != kNoReg ? BcInstr::kSrcB : 0));
+            // The interpreter's record: loads trace only the base
+            // register and a call traces no sources.
+            bc.record = packedHead(
+                in.op, in.dst, in.op == Opcode::Call ? kNoReg : in.src1,
+                in.op == Opcode::Call || isLoad(in.op) ? kNoReg
+                                                       : in.src2);
 
             if (isBinaryAlu(in.op)) {
                 bc.op = static_cast<std::uint8_t>(
@@ -219,15 +239,17 @@ lowerFunction(const Module &module, const Function &func,
                         std::max<std::size_t>(callee.numVirtRegs,
                                               callee.layout.total());
                     for (std::size_t i = 0; i < in.args.size(); ++i) {
-                        if (callee.paramRegs[i] >= callee_nregs)
+                        if (callee.paramRegs[i] >= callee_nregs ||
+                            in.args[i] == kNoReg)
                             return false;
                         BcArgMove mv;
                         mv.dst = static_cast<std::uint16_t>(
                             callee.paramRegs[i]);
                         mv.src = reg16(in.args[i]);
-                        mv.op = static_cast<std::uint8_t>(
+                        mv.record = packedHead(
                             callee.paramIsFloat[i] ? Opcode::MovF
-                                                   : Opcode::MovI);
+                                                   : Opcode::MovI,
+                            callee.paramRegs[i], in.args[i], kNoReg);
                         pool.push_back(mv);
                     }
                     break;
@@ -333,12 +355,91 @@ struct VmFrame
 constexpr std::size_t kMoveClass =
     static_cast<std::size_t>(InstrClass::Move);
 
+// The record helpers below are forced inline: execute() is one huge
+// function, and past its inlining budget GCC would turn each of them
+// into a call per traced instruction.
+
+/** A traced record: its static head plus the word address and pc. */
+[[gnu::always_inline]] inline PackedInstr
+packedRecord(std::uint64_t head, std::uint32_t addrWord, Pc pc)
+{
+    PackedInstr rec;
+    std::memcpy(static_cast<void *>(&rec), &head, sizeof head);
+    rec.addrWord = addrWord;
+    rec.pc = pc;
+    return rec;
+}
+
+/** Hands one record to a generic sink as the interpreter's DynInstr. */
+template <class Sink>
+[[gnu::always_inline]] inline void
+vmRecord(Sink *sink, const PackedInstr &rec)
+{
+    sink->emit(rec.unpack());
+}
+
+/** The recorder stores the packed record as is. */
+[[gnu::always_inline]] inline void
+vmRecord(PackedSink *sink, const PackedInstr &rec)
+{
+    sink->emitPacked(rec);
+}
+
+/**
+ * The live-timing sink: stages packed records in a fixed buffer and
+ * hands each full buffer to the issue engine's batch core, and to
+ * the data cache when stats are on.
+ */
+class TimedStage
+{
+  public:
+    static constexpr std::size_t kRecords = 256;
+
+    TimedStage(IssueEngine &engine, CacheSink *cache)
+        : engine_(engine), cache_(cache)
+    {
+    }
+
+    [[gnu::always_inline]] void
+    stage(const PackedInstr &rec)
+    {
+        buf_[n_] = rec;
+        if (++n_ == kRecords) [[unlikely]]
+            flush();
+    }
+
+    // Out of line so the VM handlers that stage keep their registers.
+    [[gnu::noinline]] void
+    flush()
+    {
+        engine_.emitBatch(buf_.data(), n_);
+        if (cache_)
+            cache_->emitBatch(buf_.data(), n_);
+        n_ = 0;
+    }
+
+  private:
+    IssueEngine &engine_;
+    CacheSink *cache_;
+    std::size_t n_ = 0;
+    std::array<PackedInstr, kRecords> buf_;
+};
+
+[[gnu::always_inline]] inline void
+vmRecord(TimedStage *stage, const PackedInstr &rec)
+{
+    stage->stage(rec);
+}
+
 } // namespace
 
 BytecodeVM::BytecodeVM(const BcImage &image, InterpOptions options)
     : image_(&image), opts_(options),
       mem_(*image.module, options.stackBytes)
 {
+    // Traced records carry 32-bit word addresses (PackedInstr).
+    SS_ASSERT(mem_.limit() / kWordBytes <= 0xffffffffll,
+              "memory too large for packed word addresses");
     stack_top_ = mem_.stackBase();
 }
 
@@ -429,22 +530,14 @@ BytecodeVM::execute(std::uint32_t entryIdx, Sink *sink)
         ++class_counts_[in->cls];                                     \
     } while (0)
 
-    // The interpreter's post-switch emit: dst/srcs straight from the
-    // instruction, no address.
-#define VM_EMIT_PLAIN()                                               \
+    // The interpreter's post-switch emit: the prebuilt head, the word
+    // address of a memory reference (0 otherwise) and the pc.
+#define VM_EMIT(addrWord)                                             \
     do {                                                              \
-        if constexpr (Traced) {                                       \
-            DynInstr di;                                              \
-            di.op = static_cast<Opcode>(in->srcOp);                   \
-            di.dst = reg32(in->dst);                                  \
-            di.pc = in->pc;                                           \
-            if (in->flags & BcInstr::kSrcA)                           \
-                di.addSrc(in->a);                                     \
-            if (in->flags & BcInstr::kSrcB)                           \
-                di.addSrc(in->b);                                     \
-            sink->emit(di);                                           \
-        }                                                             \
+        if constexpr (Traced)                                         \
+            vmRecord(sink, packedRecord(in->record, addrWord, in->pc)); \
     } while (0)
+#define VM_EMIT_PLAIN() VM_EMIT(0)
 
 #if SS_BC_THREADED
     // Label table in BcOp order — the X-macro lists keep the three
@@ -545,16 +638,7 @@ vm_dispatch:
         const std::uint64_t v = mem_.loadWord(addr);
         if (in->dst != BcInstr::kNone16)
             regs[in->dst] = v;
-        if constexpr (Traced) {
-            DynInstr di;
-            di.op = static_cast<Opcode>(in->srcOp);
-            di.dst = reg32(in->dst);
-            di.pc = in->pc;
-            di.addr = addr;
-            if (in->flags & BcInstr::kSrcA)
-                di.addSrc(in->a);
-            sink->emit(di);
-        }
+        VM_EMIT(static_cast<std::uint32_t>(addr / kWordBytes));
         VM_NEXT();
     }
 
@@ -563,18 +647,7 @@ vm_dispatch:
         const std::int64_t addr =
             sem::asInt(regs[in->a]) + in->imm;
         mem_.storeWord(addr, regs[in->b]);
-        if constexpr (Traced) {
-            DynInstr di;
-            di.op = static_cast<Opcode>(in->srcOp);
-            di.dst = reg32(in->dst);
-            di.pc = in->pc;
-            di.addr = addr;
-            if (in->flags & BcInstr::kSrcA)
-                di.addSrc(in->a);
-            if (in->flags & BcInstr::kSrcB)
-                di.addSrc(in->b);
-            sink->emit(di);
-        }
+        VM_EMIT(static_cast<std::uint32_t>(addr / kWordBytes));
         VM_NEXT();
     }
 
@@ -599,20 +672,10 @@ vm_dispatch:
         // checks — bookkeeping, not fetched instructions — exactly
         // like the interpreter).
         if constexpr (Traced) {
-            DynInstr di;
-            di.op = static_cast<Opcode>(in->srcOp);
-            di.dst = reg32(in->dst);
-            di.pc = in->pc;
-            sink->emit(di);
-            for (std::uint32_t i = 0; i < in->aux; ++i) {
-                const BcArgMove &mv = pool[in->t1 + i];
-                DynInstr m;
-                m.op = static_cast<Opcode>(mv.op);
-                m.dst = mv.dst;
-                m.addSrc(mv.src);
-                m.pc = in->pc;
-                sink->emit(m);
-            }
+            VM_EMIT_PLAIN();
+            for (std::uint32_t i = 0; i < in->aux; ++i)
+                vmRecord(sink, packedRecord(pool[in->t1 + i].record, 0,
+                                            in->pc));
             executed_ += in->aux;
             class_counts_[kMoveClass] += in->aux;
         }
@@ -675,12 +738,13 @@ vm_dispatch:
             // when the callee actually returned a register).
             if constexpr (Traced) {
                 if (ret_reg != BcInstr::kNone16) {
-                    DynInstr m;
-                    m.op = static_cast<Opcode>(f.retMoveOp);
-                    m.dst = f.retDst;
-                    m.addSrc(ret_reg);
-                    m.pc = f.retPc;
-                    sink->emit(m);
+                    PackedInstr mv;
+                    mv.op = f.retMoveOp;
+                    mv.meta = 1;
+                    mv.dst = f.retDst;
+                    mv.srcs[0] = ret_reg;
+                    mv.pc = f.retPc;
+                    vmRecord(sink, mv);
                     ++executed_;
                     ++class_counts_[kMoveClass];
                 }
@@ -705,6 +769,7 @@ vm_dispatch:
 #endif
 
 #undef VM_COUNT
+#undef VM_EMIT
 #undef VM_EMIT_PLAIN
 #undef VM_CASE
 #undef VM_DISPATCH
@@ -729,9 +794,15 @@ BytecodeVM::run(const std::string &entry, TraceSink *sink)
 }
 
 RunResult
-BytecodeVM::runTimed(const std::string &entry, IssueEngine &engine)
+BytecodeVM::runTimed(const std::string &entry, IssueEngine &engine,
+                     CacheSink *cache)
 {
-    return runWith<IssueEngine, true>(entry, &engine);
+    TimedStage stage(engine, cache);
+    RunResult r = runWith<TimedStage, true>(entry, &stage);
+    // Traps are caught inside runWith: the records before the trap
+    // are still timed.
+    stage.flush();
+    return r;
 }
 
 RunResult

@@ -19,7 +19,9 @@
  *  - call frames pre-bound: callee index, register-file size, frame
  *    bytes, frame-pointer slot and the calling convention's
  *    argument-transfer moves all live in the image (BcArgMove pool);
- *  - the source pc and instruction class pre-stamped on every op.
+ *  - the source pc, the instruction class and the static head of
+ *    the traced record pre-stamped on every op, so tracing adds only
+ *    the address and the pc.
  *
  * The VM (BytecodeVM) executes the image with computed-goto threaded
  * dispatch (a plain switch on toolchains without the extension) and
@@ -46,6 +48,7 @@
 #include <vector>
 
 #include "ir/module.hh"
+#include "sim/cache.hh"
 #include "sim/interp.hh"
 #include "sim/issue.hh"
 #include "sim/memory.hh"
@@ -111,17 +114,14 @@ enum class BcOp : std::uint8_t
 /**
  * One bytecode instruction: 40 bytes, fixed width, trivially
  * copyable.  Fields are overloaded per BcOp as documented on the
- * enum; srcOp/cls/pc/flags/dst feed DynInstr emission so the traced
- * stream is bit-identical to the interpreter's.
+ * enum; `record`, `pc` and the memory address are the whole traced
+ * record, so the traced stream is bit-identical to the
+ * interpreter's.
  */
 struct BcInstr
 {
     /** 16-bit register encoding of kNoReg. */
     static constexpr std::uint16_t kNone16 = 0xffff;
-    /** flags: IR src1 present (trace it). */
-    static constexpr std::uint8_t kSrcA = 0x01;
-    /** flags: IR src2 present (trace it). */
-    static constexpr std::uint8_t kSrcB = 0x02;
 
     /** ALU immediate (pre-converted value bits for Li), memory
      *  displacement, or the offending BlockId for BadJump. */
@@ -134,17 +134,18 @@ struct BcInstr
     std::uint32_t aux = 0;
     /** Static instruction id (verbatim, kNoPc included). */
     Pc pc = kNoPc;
+    /** The static head of the record this instruction traces:
+     *  opcode, source count, has-address flag, dst and the first two
+     *  sources, in PackedInstr's leading bytes (see packedHead).
+     *  Execution adds only the word address and the pc. */
+    std::uint64_t record = 0;
     std::uint16_t dst = kNone16;
     std::uint16_t a = kNone16;
     std::uint16_t b = kNone16;
     /** BcOp (dispatch index). */
     std::uint8_t op = 0;
-    /** Original ilp::Opcode (DynInstr emission). */
-    std::uint8_t srcOp = 0;
-    /** Pre-computed InstrClass of srcOp. */
+    /** Pre-computed InstrClass of the source opcode. */
     std::uint8_t cls = 0;
-    /** kSrcA | kSrcB. */
-    std::uint8_t flags = 0;
 };
 
 static_assert(sizeof(BcInstr) == 40,
@@ -154,14 +155,14 @@ static_assert(sizeof(BcInstr) == 40,
  * One calling-convention move, pre-bound at lowering: callee
  * parameter register <- caller argument register.  Serves double
  * duty as the frame-push copy descriptor and (when tracing) the
- * synthetic MovI/MovF DynInstr the interpreter emits per argument.
+ * synthetic MovI/MovF record the interpreter emits per argument.
  */
 struct BcArgMove
 {
+    /** Record head of the MovI (MovF for float params) move. */
+    std::uint64_t record = 0;
     std::uint16_t dst = 0;
     std::uint16_t src = 0;
-    /** Opcode::MovF for float params, Opcode::MovI otherwise. */
-    std::uint8_t op = 0;
 };
 
 struct BcFunction
@@ -226,8 +227,13 @@ class BytecodeVM
     RunResult run(const std::string &entry = "main",
                   TraceSink *sink = nullptr);
 
-    /** Fused: stream straight into the issue engine (live timing). */
-    RunResult runTimed(const std::string &entry, IssueEngine &engine);
+    /**
+     * Fused live timing: records are staged in a fixed buffer and
+     * timed in batches by the issue engine (and fed to `cache` when
+     * given, for the stats path).
+     */
+    RunResult runTimed(const std::string &entry, IssueEngine &engine,
+                       CacheSink *cache = nullptr);
 
     /** Fused: stream straight into a packed-trace recorder. */
     RunResult runPacked(const std::string &entry, PackedSink &sink);

@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include "sim/ptrace.hh"
 #include "support/logging.hh"
 
 namespace ilp {
@@ -92,6 +93,17 @@ Cache::exportStats(stats::Group &g) const
     SS_DEBUG("cache", accesses_, " accesses, ", misses_,
              " misses (", config_.sizeBytes, "B, ",
              config_.associativity, "-way)");
+}
+
+void
+CacheSink::emitBatch(const PackedInstr *records, std::size_t n)
+{
+    instructions_ += n;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (records[i].meta & PackedInstr::kHasAddr)
+            cache_.access(static_cast<std::int64_t>(records[i].addrWord) *
+                          kWordBytes);
+    }
 }
 
 void

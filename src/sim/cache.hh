@@ -22,6 +22,8 @@
 
 namespace ilp {
 
+struct PackedInstr;
+
 struct CacheConfig
 {
     std::int64_t sizeBytes = 64 * 1024;
@@ -84,6 +86,9 @@ class CacheSink : public TraceSink
         if (di.addr >= 0)
             cache_.access(di.addr);
     }
+
+    /** emit() over packed records, in stream order. */
+    void emitBatch(const PackedInstr *records, std::size_t n);
 
     const Cache &cache() const { return cache_; }
     std::uint64_t instructions() const { return instructions_; }

@@ -28,9 +28,15 @@ class InterpExecutor final : public Executor
         return interp_.run(entry, &sink);
     }
     RunResult
-    runTimed(const std::string &entry, IssueEngine &engine) override
+    runTimed(const std::string &entry, IssueEngine &engine,
+             CacheSink *cache) override
     {
-        return interp_.run(entry, &engine);
+        if (!cache)
+            return interp_.run(entry, &engine);
+        TeeSink tee;
+        tee.addSink(&engine);
+        tee.addSink(cache);
+        return interp_.run(entry, &tee);
     }
     const Memory &memory() const override { return interp_.memory(); }
     ExecBackend backend() const override
@@ -61,9 +67,10 @@ class BytecodeExecutor final : public Executor
         return vm_.runPacked(entry, sink);
     }
     RunResult
-    runTimed(const std::string &entry, IssueEngine &engine) override
+    runTimed(const std::string &entry, IssueEngine &engine,
+             CacheSink *cache) override
     {
-        return vm_.runTimed(entry, engine);
+        return vm_.runTimed(entry, engine, cache);
     }
     const Memory &memory() const override { return vm_.memory(); }
     ExecBackend backend() const override

@@ -34,6 +34,7 @@
 #include <string_view>
 
 #include "ir/module.hh"
+#include "sim/cache.hh"
 #include "sim/interp.hh"
 #include "sim/issue.hh"
 #include "sim/ptrace.hh"
@@ -79,11 +80,14 @@ class Executor
      * Fused hot paths: identical artifacts to run(entry, &sink), but
      * a backend may bind the concrete sink type into its dispatch
      * loop (the bytecode VM devirtualizes per-record emission).
+     * runTimed also feeds `cache`, when given, the same stream as
+     * the engine (the stats path).
      */
     virtual RunResult runPacked(const std::string &entry,
                                 PackedSink &sink) = 0;
     virtual RunResult runTimed(const std::string &entry,
-                               IssueEngine &engine) = 0;
+                               IssueEngine &engine,
+                               CacheSink *cache = nullptr) = 0;
 
     /** Data memory after (or during) execution (checksums). */
     virtual const Memory &memory() const = 0;

@@ -35,7 +35,7 @@ Interpreter::run(const std::string &entry, TraceSink *sink)
         const Function &func = module_.function(id);
         if (!func.paramRegs.empty())
             sem::trapEntryTakesArgs(entry);
-        result.returnValue = callFunction(func, {});
+        result.returnValue = callFunction(func, nullptr, 0);
     } catch (const TrapException &e) {
         // Containment boundary: every frame below has unwound its
         // bookkeeping, so the interpreter stays usable.
@@ -69,11 +69,11 @@ exportClassMix(stats::Group &g, const ClassCounts &counts)
 }
 
 std::uint64_t
-Interpreter::callFunction(const Function &func,
-                          const std::vector<std::uint64_t> &args)
+Interpreter::callFunction(const Function &func, const Instr *call,
+                          std::size_t callerBase)
 {
     try {
-        return execFrame(func, args);
+        return execFrame(func, call, callerBase);
     } catch (TrapException &e) {
         // Attribute the fault to the innermost frame (memory traps
         // are raised below the frame that knows the function name).
@@ -82,12 +82,36 @@ Interpreter::callFunction(const Function &func,
     }
 }
 
-std::uint64_t
-Interpreter::execFrame(const Function &func,
-                       const std::vector<std::uint64_t> &args)
+namespace {
+
+// The recursive chain's assertions fail through these: a formatted
+// panic message needs a string stream, and that must not sit in every
+// guest call level's host frame.
+
+[[noreturn, gnu::noinline]] void
+arityMismatch(const Function &func)
 {
-    SS_ASSERT(args.size() == func.paramRegs.size(),
-              "arity mismatch calling ", func.name);
+    SS_PANIC("assertion failed: nargs == func.paramRegs.size() "
+             "arity mismatch calling ",
+             func.name);
+}
+
+[[noreturn, gnu::noinline]] void
+registerOutOfRange(Reg r, const Function &func)
+{
+    SS_PANIC("assertion failed: r < nregs register v", r,
+             " out of range in ", func.name);
+}
+
+} // namespace
+
+std::uint64_t
+Interpreter::execFrame(const Function &func, const Instr *call,
+                       std::size_t callerBase)
+{
+    const std::size_t nargs = call ? call->args.size() : 0;
+    if (nargs != func.paramRegs.size())
+        arityMismatch(func);
     if (call_depth_ >= sem::kMaxCallDepth)
         sem::trapCallDepthExceeded(func.name);
     ++call_depth_;
@@ -123,21 +147,95 @@ Interpreter::execFrame(const Function &func,
     Reg fp_reg = func.framePointer();
     if (fp_reg != kNoReg && fp_reg < nregs)
         arena_[base + fp_reg] = sem::fromInt(fp);
-    for (std::size_t i = 0; i < args.size(); ++i)
-        arena_[base + func.paramRegs[i]] = args[i];
+    // Arguments straight from the caller's registers (execCall
+    // checked them); base offsets survive the arena's growth.
+    for (std::size_t i = 0; i < nargs; ++i)
+        arena_[base + func.paramRegs[i]] =
+            arena_[callerBase + call->args[i]];
 
+    FrameState st{func, base, nregs};
+    while (const Instr *next = runUntilCall(st))
+        execCall(st, *next);
+    return st.retValue; // Frame unwinder restores the bookkeeping.
+}
+
+void
+Interpreter::execCall(FrameState &st, const Instr &in)
+{
+    const Function &callee = module_.function(in.callee);
+    if (sink_)
+        traceCall(in, callee);
+    for (Reg a : in.args) {
+        if (a >= st.nregs)
+            registerOutOfRange(a, st.func);
+    }
+    std::uint64_t rv = callFunction(callee, &in, st.base);
+    if (in.dst != kNoReg) {
+        arena_[st.base + in.dst] = rv;
+        if (sink_ && last_ret_reg_ != kNoReg)
+            traceReturnMove(in, callee);
+    }
+    ++st.ip;
+}
+
+[[gnu::noinline]] void
+Interpreter::traceCall(const Instr &in, const Function &callee)
+{
+    // Trace the call before descending so the stream is in fetch
+    // order, followed by explicit argument-transfer moves (the
+    // calling convention's visible cost, which also ties the
+    // callee's parameter registers to the caller's dataflow in the
+    // timing model).
+    DynInstr di;
+    di.op = in.op;
+    di.dst = in.dst;
+    di.pc = in.pc;
+    sink_->emit(di);
+    for (std::size_t i = 0; i < in.args.size(); ++i) {
+        DynInstr mv;
+        mv.op = callee.paramIsFloat[i] ? Opcode::MovF : Opcode::MovI;
+        mv.dst = callee.paramRegs[i];
+        mv.addSrc(in.args[i]);
+        // Calling-convention overhead bills to the site.
+        mv.pc = in.pc;
+        sink_->emit(mv);
+    }
+    executed_ += in.args.size();
+    class_counts_[static_cast<std::size_t>(InstrClass::Move)] +=
+        in.args.size();
+}
+
+[[gnu::noinline]] void
+Interpreter::traceReturnMove(const Instr &in, const Function &callee)
+{
+    DynInstr mv;
+    mv.op = callee.returnsFloat ? Opcode::MovF : Opcode::MovI;
+    mv.dst = in.dst;
+    mv.addSrc(last_ret_reg_);
+    mv.pc = in.pc;
+    sink_->emit(mv);
+    ++executed_;
+    ++class_counts_[static_cast<std::size_t>(InstrClass::Move)];
+}
+
+// Never inlined into execFrame: its locals must stay off the
+// recursive chain.
+[[gnu::noinline]] const Instr *
+Interpreter::runUntilCall(FrameState &st)
+{
+    const Function &func = st.func;
+    const std::size_t base = st.base;
+    const std::size_t nregs = st.nregs;
     auto get = [&](Reg r) -> std::uint64_t {
         SS_ASSERT(r < nregs, "register v", r, " out of range in ",
                   func.name);
         return arena_[base + r];
     };
 
-    std::uint64_t ret_value = 0;
-    BlockId block = 0;
-    std::size_t ip = 0;
-    bool running = true;
+    BlockId block = st.block;
+    std::size_t ip = st.ip;
 
-    while (running) {
+    for (;;) {
         if (block < 0 ||
             static_cast<std::size_t>(block) >= func.blocks.size())
             sem::trapBadJump(func.name, block);
@@ -154,6 +252,12 @@ Interpreter::execFrame(const Function &func,
         sem::pollPoint(executed_);
         ++class_counts_[static_cast<std::size_t>(opcodeClass(in.op))];
 
+        if (in.op == Opcode::Call) {
+            st.block = block;
+            st.ip = ip;
+            return &in; // execCall traces it
+        }
+
         DynInstr di;
         if (sink_) {
             di.op = in.op;
@@ -168,6 +272,7 @@ Interpreter::execFrame(const Function &func,
 
         std::uint64_t value = 0;
         bool writes = true;
+        bool returns = false;
         std::int64_t next_block = -1;
 
         switch (in.op) {
@@ -202,58 +307,11 @@ Interpreter::execFrame(const Function &func,
             next_block = in.target0;
             writes = false;
             break;
-          case Opcode::Call: {
-            const Function &callee = module_.function(in.callee);
-            // Trace the call before descending so the stream is in
-            // fetch order, followed by explicit argument-transfer
-            // moves (the calling convention's visible cost, which
-            // also ties the callee's parameter registers to the
-            // caller's dataflow in the timing model).
-            if (sink_) {
-                sink_->emit(di);
-                for (std::size_t i = 0; i < in.args.size(); ++i) {
-                    DynInstr mv;
-                    mv.op = callee.paramIsFloat[i] ? Opcode::MovF
-                                                   : Opcode::MovI;
-                    mv.dst = callee.paramRegs[i];
-                    mv.addSrc(in.args[i]);
-                    // Calling-convention overhead bills to the site.
-                    mv.pc = in.pc;
-                    sink_->emit(mv);
-                }
-                executed_ += in.args.size();
-                class_counts_[static_cast<std::size_t>(
-                    InstrClass::Move)] += in.args.size();
-            }
-            std::vector<std::uint64_t> call_args;
-            call_args.reserve(in.args.size());
-            for (Reg a : in.args)
-                call_args.push_back(get(a));
-            std::uint64_t rv = callFunction(callee, call_args);
-            if (in.dst != kNoReg) {
-                arena_[base + in.dst] = rv;
-                // Return-value transfer move.
-                if (sink_ && last_ret_reg_ != kNoReg) {
-                    DynInstr mv;
-                    mv.op = callee.returnsFloat ? Opcode::MovF
-                                                : Opcode::MovI;
-                    mv.dst = in.dst;
-                    mv.addSrc(last_ret_reg_);
-                    mv.pc = in.pc;
-                    sink_->emit(mv);
-                    ++executed_;
-                    ++class_counts_[static_cast<std::size_t>(
-                        InstrClass::Move)];
-                }
-            }
-            ++ip;
-            continue; // trace already emitted
-          }
           case Opcode::Ret:
             if (in.src1 != kNoReg)
-                ret_value = get(in.src1);
+                st.retValue = get(in.src1);
             last_ret_reg_ = in.src1;
-            running = false;
+            returns = true;
             writes = false;
             break;
           default:
@@ -282,6 +340,8 @@ Interpreter::execFrame(const Function &func,
             sink_->emit(di);
         }
 
+        if (returns)
+            return nullptr;
         if (next_block >= 0) {
             block = static_cast<BlockId>(next_block);
             ip = 0;
@@ -289,8 +349,6 @@ Interpreter::execFrame(const Function &func,
             ++ip;
         }
     }
-
-    return ret_value; // Frame unwinder restores the bookkeeping.
 }
 
 } // namespace ilp

@@ -80,10 +80,38 @@ class Interpreter
     Memory &memory() { return mem_; }
 
   private:
-    std::uint64_t callFunction(const Function &func,
-                               const std::vector<std::uint64_t> &args);
-    std::uint64_t execFrame(const Function &func,
-                            const std::vector<std::uint64_t> &args);
+    /** One activation's position, shared by its instruction steps. */
+    struct FrameState
+    {
+        const Function &func;
+        std::size_t base;
+        std::size_t nregs;
+        BlockId block = 0;
+        std::size_t ip = 0;
+        std::uint64_t retValue = 0;
+    };
+
+    // A guest call recurses through callFunction -> execFrame ->
+    // execCall only; the per-instruction work (runUntilCall) and the
+    // call's trace records (traceCall, traceReturnMove) run in frames
+    // that are gone before the recursion, so each guest call level
+    // costs a few small host frames (this keeps sem::kMaxCallDepth
+    // reachable on an 8 MB stack under AddressSanitizer too).
+    /** Run `func` called by `call` (nullptr for the entry) from the
+     *  frame whose registers start at `callerBase`. */
+    std::uint64_t callFunction(const Function &func, const Instr *call,
+                               std::size_t callerBase);
+    std::uint64_t execFrame(const Function &func, const Instr *call,
+                            std::size_t callerBase);
+    /** Execute from st.ip until a Call (returned, already counted)
+     *  or the frame's Ret (nullptr). */
+    const Instr *runUntilCall(FrameState &st);
+    /** Trace, perform and return from the Call at st.ip. */
+    void execCall(FrameState &st, const Instr &in);
+    /** The call record and its argument-transfer moves. */
+    void traceCall(const Instr &in, const Function &callee);
+    /** The return-value transfer move after the call returns. */
+    void traceReturnMove(const Instr &in, const Function &callee);
 
     const Module &module_;
     InterpOptions opts_;

@@ -25,12 +25,33 @@
  * WAW is resolved by overwrite (last writer wins; no interlock) — see
  * DESIGN.md.  Elapsed time in base cycles is minor cycles / m, making
  * superscalar and superpipelined machines directly comparable.
+ *
+ * The engine keeps what a machine fixes apart from what the stream
+ * changes (the split of prism's cp_super.hh):
+ *
+ *  - **Static table.**  At construction every Opcode gets one row:
+ *    class, minor-cycle latency, the first copy of its unit in the
+ *    flat unit_free_ array, the copy count and issue latency, and the
+ *    is-store and branch-fence flags.  Nothing per record asks the
+ *    ISA or the MachineConfig again.
+ *  - **Batch core.**  issueBatch() times a run of records with the
+ *    cycle being filled, its count, the fence, the last completion,
+ *    the empty-cycle count and the stall tallies in locals, written
+ *    back once per batch.  Every route feeds it: emit() is a batch
+ *    of one (the interpreter, TeeSink, tests), a TraceBuffer replays
+ *    as one batch, a PackedTrace chunk by chunk, and the bytecode
+ *    VM's live timing stages packed records and flushes them here.
+ *  - **Shape specializations.**  The core is instantiated per record
+ *    form (DynInstr, PackedInstr) and machine shape: with or without
+ *    functional units, and with or without the profile/timeline
+ *    hooks.  The shape is chosen at construction and updated by
+ *    enableProfile()/recordTimeline(), so the default path carries
+ *    neither unit bookkeeping nor hook branches.
  */
 
 #ifndef SUPERSYM_SIM_ISSUE_HH
 #define SUPERSYM_SIM_ISSUE_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -41,6 +62,8 @@
 #include "support/stats.hh"
 
 namespace ilp {
+
+struct PackedInstr;
 
 /**
  * Why an issue slot went unused (the paper's lost-parallelism
@@ -127,11 +150,17 @@ class IssueEngine final : public TraceSink
   public:
     explicit IssueEngine(const MachineConfig &config);
 
-    /** Defined inline below: the per-record hot path.  Callers that
-     *  hold a concrete IssueEngine (the fused executor paths, trace
-     *  replay) inline the whole thing; virtual dispatch remains for
-     *  TraceSink* callers. */
+    /** One record: a batch of one through the timing core (the
+     *  TraceSink entry for the interpreter, TeeSink and tests). */
     void emit(const DynInstr &di) override;
+
+    /**
+     * Time `n` records in stream order through the batch core.
+     * Identical to emitting them one by one; the fused executor,
+     * packed-trace replay and buffered-trace replay all come here.
+     */
+    void emitBatch(const DynInstr *records, std::size_t n);
+    void emitBatch(const PackedInstr *records, std::size_t n);
 
     /** Dynamic instructions issued so far. */
     std::uint64_t instructions() const { return instructions_; }
@@ -185,9 +214,9 @@ class IssueEngine final : public TraceSink
 
     /**
      * Enable per-pc profiling for a program of `pcCount` static
-     * instructions.  Off by default and zero-cost when off (one
-     * predictable branch per emit).  Index pcCount is the bucket for
-     * records with pc == kNoPc (modules that never went through
+     * instructions.  Off by default and free when off (the core is
+     * instantiated without the hook).  Index pcCount is the bucket
+     * for records with pc == kNoPc (modules that never went through
      * Module::assignPcs()).
      */
     void enableProfile(std::size_t pcCount);
@@ -224,10 +253,39 @@ class IssueEngine final : public TraceSink
     const MachineConfig &config() const { return config_; }
 
   private:
-    std::uint64_t regReady(Reg r) const;
-    void setRegReady(Reg r, std::uint64_t t);
+    /** The static image of one opcode on this machine. */
+    struct OpRow
+    {
+        /** Operation latency in minor cycles. */
+        std::uint64_t latencyMinor = 1;
+        /** Minor cycles a unit copy stays busy after an issue. */
+        std::uint64_t issueLatency = 1;
+        /** First copy of the serving unit in unit_free_. */
+        std::uint32_t unitBase = 0;
+        /** Copies of the serving unit (0 on ideal machines). */
+        std::uint32_t copies = 0;
+        InstrClass cls = InstrClass::IntAdd;
+        /** Stores update the word's ready time. */
+        bool store = false;
+        /** Closes the cycle (branch or jump, !issueAcrossBranches). */
+        bool fence = false;
+    };
+
+    /** Which core instantiation runs: unit conflicts, hooks. */
+    enum Shape : std::uint8_t
+    {
+        kUnits = 1,
+        kHooks = 2,
+    };
+
+    template <class Rec>
+    void dispatch(const Rec *records, std::size_t n);
+    template <class Rec, bool Units, bool Hooks>
+    void issueBatch(const Rec *records, std::size_t n);
 
     MachineConfig config_;
+    std::array<OpRow, kNumOpcodes> rows_{};
+    std::uint8_t shape_ = 0;
 
     std::uint64_t instructions_ = 0;
     /** Minor cycle currently being filled. */
@@ -239,17 +297,17 @@ class IssueEngine final : public TraceSink
     /** Earliest cycle the next instruction may use (branch fences). */
     std::uint64_t fence_ = 0;
 
+    /** Ready time per register, grown on demand; absent entries mean
+     *  "ready at 0". */
     std::vector<std::uint64_t> reg_ready_;
     /** Ready time per memory *word* (index addr / kWordBytes), grown
      *  on demand.  Addresses are word-aligned and bounded by the
      *  simulated memory, so a flat table beats a hash map on the
-     *  per-instruction hot path; absent entries mean "ready at 0",
-     *  exactly like the map this replaces. */
+     *  per-instruction hot path; absent entries mean "ready at 0". */
     std::vector<std::uint64_t> store_ready_;
-    /** Next-free minor cycle per functional-unit copy, per unit. */
-    std::vector<std::vector<std::uint64_t>> unit_free_;
-    /** unitFor(cls), precomputed per class at construction. */
-    std::array<int, kNumInstrClasses> unit_for_{};
+    /** Next-free minor cycle of every functional-unit copy, unit by
+     *  unit (OpRow::unitBase indexes it). */
+    std::vector<std::uint64_t> unit_free_;
 
     /** counts_[k] = closed cycles that issued exactly k instrs. */
     std::vector<std::uint64_t> counts_;
@@ -273,159 +331,6 @@ class IssueEngine final : public TraceSink
     std::uint64_t timeline_dropped_ = 0;
     std::vector<IssueEvent> timeline_;
 };
-
-inline std::uint64_t
-IssueEngine::regReady(Reg r) const
-{
-    return r < reg_ready_.size() ? reg_ready_[r] : 0;
-}
-
-inline void
-IssueEngine::setRegReady(Reg r, std::uint64_t t)
-{
-    if (r >= reg_ready_.size())
-        reg_ready_.resize(static_cast<std::size_t>(r) + 1, 0);
-    reg_ready_[r] = t;
-}
-
-inline void
-IssueEngine::emit(const DynInstr &di)
-{
-    const InstrClass cls = di.cls();
-    const std::uint64_t width =
-        static_cast<std::uint64_t>(config_.issueWidth);
-
-    // Component earliest-issue times, kept separate so a stall can be
-    // charged to the binding constraint.
-    std::uint64_t t_data = 0;
-
-    // Register RAW.
-    for (std::uint8_t i = 0; i < di.numSrcs; ++i)
-        t_data = std::max(t_data, regReady(di.srcs[i]));
-
-    // Memory RAW / WAW through the actual word address.
-    if (di.addr >= 0) {
-        const std::size_t word =
-            static_cast<std::size_t>(di.addr / kWordBytes);
-        if (word < store_ready_.size())
-            t_data = std::max(t_data, store_ready_[word]);
-    }
-
-    // Functional-unit availability (class conflicts).
-    int unit = unit_for_[static_cast<std::size_t>(cls)];
-    std::size_t copy = 0;
-    std::uint64_t t_unit = 0;
-    if (unit >= 0) {
-        auto &copies = unit_free_[static_cast<std::size_t>(unit)];
-        copy = 0;
-        for (std::size_t i = 1; i < copies.size(); ++i) {
-            if (copies[i] < copies[copy])
-                copy = i;
-        }
-        t_unit = copies[copy];
-    }
-
-    // Earliest issue: in order, after the branch fence, operands
-    // ready, and a unit copy free.
-    std::uint64_t t = std::max(
-        std::max(cur_cycle_, fence_), std::max(t_data, t_unit));
-
-    // Profile bucket for this record (last slot = unattributed).
-    std::size_t pslot = 0;
-    if (profile_enabled_)
-        pslot = di.pc < profile_.size() - 1
-                    ? static_cast<std::size_t>(di.pc)
-                    : profile_.size() - 1;
-
-    // Issue-slot availability: if we moved past the cycle being
-    // filled, the new cycle starts empty; otherwise check the width.
-    if (t > cur_cycle_) {
-        // The cycle being filled closes short, plus (t-cur-1) fully
-        // empty cycles: charge every lost slot to the binding
-        // constraint (latency beats unit beats fence on ties — the
-        // paper's headline cause wins ambiguous slots).
-        StallCause cause = StallCause::BranchFence;
-        if (t_data >= t)
-            cause = StallCause::RawLatency;
-        else if (t_unit >= t)
-            cause = StallCause::UnitConflict;
-        const std::uint64_t lost =
-            (width - static_cast<std::uint64_t>(cur_count_)) +
-            (t - cur_cycle_ - 1) * width;
-        stalls_[cause] += lost;
-        if (profile_enabled_)
-            profile_[pslot]
-                .stallSlots[static_cast<std::size_t>(cause)] += lost;
-        ++counts_[static_cast<std::size_t>(cur_count_)];
-        empty_cycles_ += t - cur_cycle_ - 1;
-        cur_cycle_ = t;
-        cur_count_ = 0;
-    } else if (cur_count_ >= config_.issueWidth) {
-        ++counts_[static_cast<std::size_t>(cur_count_)];
-        t = ++cur_cycle_;
-        cur_count_ = 0;
-        // Re-check unit availability at the new cycle: the chosen
-        // copy is still the earliest-free one, so only max() again.
-        if (unit >= 0)
-            t = std::max(
-                t, unit_free_[static_cast<std::size_t>(unit)][copy]);
-        if (t > cur_cycle_) {
-            const std::uint64_t lost = (t - cur_cycle_) * width;
-            stalls_[StallCause::UnitConflict] += lost;
-            if (profile_enabled_)
-                profile_[pslot].stallSlots[static_cast<std::size_t>(
-                    StallCause::UnitConflict)] += lost;
-            empty_cycles_ += t - cur_cycle_;
-            cur_cycle_ = t;
-        }
-    }
-
-    // --- Issue at minor cycle t. ---
-    if (timeline_enabled_) {
-        if (timeline_.size() < timeline_limit_) {
-            IssueEvent ev;
-            ev.cycle = t;
-            ev.slot = static_cast<std::uint16_t>(cur_count_);
-            ev.latencyMinor = static_cast<std::uint32_t>(
-                config_.latencyMinor(cls));
-            ev.cls = cls;
-            timeline_.push_back(ev);
-        } else {
-            ++timeline_dropped_;
-        }
-    }
-    ++class_issued_[static_cast<std::size_t>(cls)];
-    ++cur_count_;
-    ++instructions_;
-    if (profile_enabled_) {
-        ++profile_[pslot].issued;
-        last_profile_slot_ = pslot;
-    }
-
-    const std::uint64_t lat =
-        static_cast<std::uint64_t>(config_.latencyMinor(cls));
-    const std::uint64_t done = t + lat;
-    last_complete_ = std::max(last_complete_, done);
-
-    if (di.dst != kNoReg)
-        setRegReady(di.dst, done);
-    if (di.addr >= 0 && isStore(di.op)) {
-        const std::size_t word =
-            static_cast<std::size_t>(di.addr / kWordBytes);
-        if (word >= store_ready_.size())
-            store_ready_.resize(word + 1, 0);
-        store_ready_[word] = done;
-    }
-    if (unit >= 0) {
-        unit_free_[static_cast<std::size_t>(unit)][copy] =
-            t + static_cast<std::uint64_t>(
-                    config_.units[static_cast<std::size_t>(unit)]
-                        .issueLatency);
-    }
-    if (!config_.issueAcrossBranches &&
-        (cls == InstrClass::Branch || cls == InstrClass::Jump))
-        fence_ = t + 1;
-}
 
 /**
  * Convenience: replay a buffered trace on a machine and return the

@@ -19,12 +19,6 @@ narrowReg(Reg r)
                        : static_cast<std::uint16_t>(r);
 }
 
-Reg
-widenReg(std::uint16_t r)
-{
-    return r == PackedInstr::kNoReg16 ? kNoReg : static_cast<Reg>(r);
-}
-
 } // namespace
 
 bool
@@ -62,22 +56,6 @@ PackedInstr::pack(const DynInstr &di)
     }
     pi.pc = di.pc;
     return pi;
-}
-
-DynInstr
-PackedInstr::unpack() const
-{
-    DynInstr di;
-    di.op = static_cast<Opcode>(op);
-    di.dst = widenReg(dst);
-    for (std::size_t i = 0; i < di.srcs.size(); ++i)
-        di.srcs[i] = widenReg(srcs[i]);
-    di.numSrcs = static_cast<std::uint8_t>(meta & kNumSrcsMask);
-    di.addr = (meta & kHasAddr)
-                  ? static_cast<std::int64_t>(addrWord) * kWordBytes
-                  : -1;
-    di.pc = pc;
-    return di;
 }
 
 } // namespace ilp

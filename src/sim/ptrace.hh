@@ -63,8 +63,26 @@ struct PackedInstr
     /** Pack `di`; the caller must have checked canPack(). */
     static PackedInstr pack(const DynInstr &di);
 
-    /** The original DynInstr, bit-for-bit. */
-    DynInstr unpack() const;
+    /** The original DynInstr, bit-for-bit.  Inline: the bytecode
+     *  VM's generic traced path unpacks every record it emits. */
+    [[gnu::always_inline]] DynInstr
+    unpack() const
+    {
+        auto widen = [](std::uint16_t r) {
+            return r == kNoReg16 ? kNoReg : static_cast<Reg>(r);
+        };
+        DynInstr di;
+        di.op = static_cast<Opcode>(op);
+        di.dst = widen(dst);
+        for (std::size_t i = 0; i < di.srcs.size(); ++i)
+            di.srcs[i] = widen(srcs[i]);
+        di.numSrcs = static_cast<std::uint8_t>(meta & kNumSrcsMask);
+        di.addr = (meta & kHasAddr)
+                      ? static_cast<std::int64_t>(addrWord) * kWordBytes
+                      : -1;
+        di.pc = pc;
+        return di;
+    }
 };
 
 static_assert(sizeof(PackedInstr) == 20,
@@ -94,13 +112,21 @@ class PackedTrace
     {
         if (!PackedInstr::canPack(di))
             return false;
+        appendPacked(PackedInstr::pack(di));
+        return true;
+    }
+
+    /** Append a record already in packed form (lossless by
+     *  construction, so nothing to check). */
+    void
+    appendPacked(const PackedInstr &rec)
+    {
         if (chunks_.empty() || chunks_.back().size() == kChunkInstrs) {
             chunks_.emplace_back();
             chunks_.back().reserve(kChunkInstrs);
         }
-        chunks_.back().push_back(PackedInstr::pack(di));
+        chunks_.back().push_back(rec);
         ++size_;
-        return true;
     }
 
     std::size_t size() const { return size_; }
@@ -165,15 +191,15 @@ class PackedTrace
     /**
      * Replay the whole trace into a sink (the time-many half: feed
      * the IssueEngine / CacheSink without re-executing anything).
-     * Unpacks chunk-linearly — this is the sweep hot path.  The
+     * Walks the chunks linearly — this is the sweep hot path.  The
      * cooperative cell deadline is polled every
      * cancel::kDeadlinePollInterval records (the same cadence as the
      * execution backends), so a watchdogged replay cancels promptly.
      *
-     * Templated on the concrete sink type: replaying into a final
-     * sink class (IssueEngine, the common case) devirtualizes and
-     * inlines the per-record emit; passing a TraceSink& keeps the
-     * old dynamic-dispatch behavior.
+     * A sink with emitBatch(const PackedInstr *, std::size_t) — the
+     * IssueEngine, the CacheSink — gets the packed records a poll
+     * interval at a time, with no unpacking; any other sink gets
+     * each record unpacked to a DynInstr.
      */
     template <class Sink>
     void
@@ -185,8 +211,14 @@ class PackedTrace
                 cancel::pollDeadline();
                 const std::size_t stop = std::min(
                     chunk.size(), i + cancel::kDeadlinePollInterval);
-                for (std::size_t j = i; j < stop; ++j)
-                    sink.emit(chunk[j].unpack());
+                if constexpr (requires {
+                                  sink.emitBatch(chunk.data(), 0);
+                              }) {
+                    sink.emitBatch(chunk.data() + i, stop - i);
+                } else {
+                    for (std::size_t j = i; j < stop; ++j)
+                        sink.emit(chunk[j].unpack());
+                }
             }
         }
     }
@@ -223,6 +255,21 @@ class PackedSink final : public TraceSink
             recording_ = false;
             out_->clear();
         }
+    }
+
+    /** emit() for a record already in packed form (the bytecode VM's
+     *  fused recorder). */
+    [[gnu::always_inline]] void
+    emitPacked(const PackedInstr &rec)
+    {
+        if (!recording_)
+            return;
+        if (out_->byteSize() + sizeof(PackedInstr) > max_bytes_) {
+            recording_ = false;
+            out_->clear();
+            return;
+        }
+        out_->appendPacked(rec);
     }
 
     /** Every emitted record was stored losslessly within the cap. */

@@ -92,11 +92,20 @@ class TraceBuffer : public TraceSink
     std::size_t size() const { return trace_.size(); }
     void clear() { trace_.clear(); }
 
-    /** Replay the buffered trace into another sink. */
-    void replay(TraceSink &sink) const
+    /**
+     * Replay the buffered trace into another sink: in one batch when
+     * the sink takes batches (IssueEngine), else record by record.
+     */
+    template <class Sink>
+    void
+    replay(Sink &sink) const
     {
-        for (const auto &di : trace_)
-            sink.emit(di);
+        if constexpr (requires { sink.emitBatch(trace_.data(), 0); }) {
+            sink.emitBatch(trace_.data(), trace_.size());
+        } else {
+            for (const auto &di : trace_)
+                sink.emit(di);
+        }
     }
 
   private:

@@ -115,8 +115,9 @@ TEST_P(BackendDifferentialTest, TraceChecksumAndMixIdentical)
     ASSERT_TRUE(bytecode.traceComplete);
     expectTracesIdentical(interp.trace, bytecode.trace);
     ASSERT_EQ(interp.hasFp, bytecode.hasFp);
-    if (interp.hasFp)
+    if (interp.hasFp) {
         EXPECT_EQ(interp.fpBits, bytecode.fpBits);
+    }
 }
 
 TEST_P(BackendDifferentialTest, StatsTreeIdentical)

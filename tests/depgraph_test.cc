@@ -21,8 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
+#include "core/study/whatif.hh"
 #include "sim/depgraph.hh"
 #include "sim/exec.hh"
 #include "tests/helpers.hh"
@@ -149,6 +152,28 @@ TEST(DepGraphPropertyTest, SlackIsNonNegativeAndZeroOnCriticalPath)
     }
 }
 
+TEST(DepGraphCacheTest, OnlySuccessfulBuildsCount)
+{
+    // ssim_depgraph_builds_total reads builds(): a build that throws
+    // (an injected depgraph fault, a trap) is a miss, not a build,
+    // and the next request builds again.
+    DepGraphCache cache;
+    EXPECT_THROW(cache.get("key",
+                           []() -> DepGraph {
+                               throw std::runtime_error("build failed");
+                           }),
+                 std::runtime_error);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.builds(), 0u);
+    EXPECT_EQ(cache.size(), 0u);
+    cache.get("key", [] { return DepGraph::Builder().take(); });
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.builds(), 1u);
+    cache.get("key", [] { return DepGraph::Builder().take(); });
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.builds(), 1u);
+}
+
 TEST(DepGraphPropertyTest, BuildIsDeterministicAcrossJobsAndPaths)
 {
     const Workload &w = workloadByName("yacc");
@@ -163,10 +188,12 @@ TEST(DepGraphPropertyTest, BuildIsDeterministicAcrossJobsAndPaths)
         reference = graph->structureHash();
         nodes = graph->size();
         EXPECT_EQ(study.graphCache().misses(), 1u);
+        EXPECT_EQ(study.graphCache().builds(), 1u);
         // Second request is served from the cache.
         auto again = study.dependenceGraph(w, machine, options);
         EXPECT_EQ(again.get(), graph.get());
         EXPECT_EQ(study.graphCache().hits(), 1u);
+        EXPECT_EQ(study.graphCache().builds(), 1u);
         // The graph streams out of live execution: no trace lookup,
         // nothing recorded.
         EXPECT_EQ(study.traceCache().misses(), 0u);

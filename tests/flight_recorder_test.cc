@@ -348,6 +348,8 @@ TEST(MetricsExportTest, EveryMetricIsReadFromItsOwner)
               count(study.traceCache().fallbacks()));
     EXPECT_EQ(value("ssim_trace_cache_bytes"),
               count(study.traceCache().bytesHeld()));
+    EXPECT_EQ(value("ssim_depgraph_builds_total"),
+              count(study.graphCache().builds()));
     EXPECT_EQ(value("ssim_sweep_cell_retries_total"),
               count(hs.totals.retries));
     EXPECT_EQ(value("ssim_sweep_cell_timeouts_total"),
