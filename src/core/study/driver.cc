@@ -22,12 +22,22 @@ defaultCompileOptions(const Workload &workload)
     return o;
 }
 
+OptimizeOptions
+optimizeOptions(const CompileOptions &options)
+{
+    OptimizeOptions oo;
+    oo.level = options.level;
+    oo.layout = options.layout;
+    oo.alias = options.alias;
+    oo.reassociate = options.unroll.careful;
+    return oo;
+}
+
 Result<Module>
-compileWorkloadChecked(const std::string &source,
-                       const MachineConfig &machine,
-                       const CompileOptions &options,
-                       CompileTelemetry *telemetry,
-                       const std::string &unit)
+compilePrefixChecked(const std::string &source,
+                     const CompileOptions &options,
+                     CompileTelemetry *telemetry,
+                     const std::string &unit)
 {
     using Clock = std::chrono::steady_clock;
     const Clock::time_point t0 = Clock::now();
@@ -47,19 +57,29 @@ compileWorkloadChecked(const std::string &source,
             fe.blocksAfter += func.blocks.size();
         }
     }
-    OptimizeOptions oo;
-    oo.level = options.level;
-    oo.layout = options.layout;
-    oo.alias = options.alias;
-    oo.reassociate = options.unroll.careful;
     try {
-        optimizeModule(module, machine, oo, telemetry);
+        allocateModule(module, optimizeOptions(options), telemetry);
     } catch (const DiagException &e) {
-        // Machine-configuration limits (e.g. a temp register file
-        // too small for the workload) surface as diagnostics.
+        // Register-file limits (a temp register file too small for
+        // the workload) surface as diagnostics.
         return Result<Module>::failure(e.diags());
     }
     return Result<Module>::success(std::move(module));
+}
+
+Result<Module>
+compileWorkloadChecked(const std::string &source,
+                       const MachineConfig &machine,
+                       const CompileOptions &options,
+                       CompileTelemetry *telemetry,
+                       const std::string &unit)
+{
+    Result<Module> r =
+        compilePrefixChecked(source, options, telemetry, unit);
+    if (r.ok())
+        scheduleModule(r.value(), machine, optimizeOptions(options),
+                       telemetry);
+    return r;
 }
 
 Module

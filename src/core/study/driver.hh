@@ -7,7 +7,9 @@
  * same specification."
  *
  * compileWorkload() runs source -> (unroll) -> IR -> optimizer ->
- * register allocation -> machine-specific scheduling; runOnMachine()
+ * register allocation (compilePrefixChecked, which no machine
+ * parameter reaches) -> machine-specific scheduling (scheduleModule);
+ * runOnMachine()
  * then executes the result functionally while the in-order issue
  * engine times the dynamic stream against the *same* machine
  * description.
@@ -53,11 +55,26 @@ struct CompileOptions
  *  disambiguation, the workload's own default unroll factor. */
 CompileOptions defaultCompileOptions(const Workload &workload);
 
-/** Compile MT source for a machine (parses, unrolls, optimizes,
- *  allocates, schedules), reporting user errors (syntax, semantic,
- *  machine-limit) as diagnostics instead of exiting.  `telemetry`,
- *  when non-null, records the frontend phase plus every optimizer
- *  phase. */
+/** The optimizer settings a compile with `options` runs. */
+OptimizeOptions optimizeOptions(const CompileOptions &options);
+
+/** The machine-independent prefix of a compile: parse, unroll,
+ *  optimize and allocate registers (allocateModule), reporting user
+ *  errors (syntax, semantic, register-file limit) as diagnostics
+ *  instead of exiting.  The module is not yet scheduled or numbered;
+ *  scheduleModule() finishes a copy of it for each machine.
+ *  `telemetry`, when non-null, records the frontend phase plus every
+ *  optimizer phase up to "regalloc". */
+Result<Module> compilePrefixChecked(const std::string &source,
+                                    const CompileOptions &options,
+                                    CompileTelemetry *telemetry =
+                                        nullptr,
+                                    const std::string &unit =
+                                        "<input>");
+
+/** Compile MT source for a machine: compilePrefixChecked() then
+ *  scheduleModule().  `telemetry`, when non-null, records the
+ *  frontend phase plus every optimizer phase, "sched" last. */
 Result<Module> compileWorkloadChecked(const std::string &source,
                                       const MachineConfig &machine,
                                       const CompileOptions &options,

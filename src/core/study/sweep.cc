@@ -220,8 +220,8 @@ SweepRunner::run(std::size_t count,
 // ------------------------------------------------------- CompileCache
 
 std::string
-CompileCache::key(const Workload &workload, const MachineConfig &machine,
-                  const CompileOptions &options)
+CompileCache::prefixKey(const Workload &workload,
+                        const CompileOptions &options)
 {
     std::string k = workload.name;
     k += '#';
@@ -239,6 +239,14 @@ CompileCache::key(const Workload &workload, const MachineConfig &machine,
     k += std::to_string(options.layout.numTemp);
     k += '.';
     k += std::to_string(options.layout.numHome);
+    return k;
+}
+
+std::string
+CompileCache::key(const Workload &workload, const MachineConfig &machine,
+                  const CompileOptions &options)
+{
+    std::string k = prefixKey(workload, options);
 
     // Everything the compiler/scheduler can observe about the
     // machine; deliberately not its name, so re-labelled variants of
@@ -273,56 +281,43 @@ CompileCache::key(const Workload &workload, const MachineConfig &machine,
     return k;
 }
 
-std::shared_ptr<const Module>
-CompileCache::compile(const Workload &workload,
-                      const MachineConfig &machine,
-                      const CompileOptions &options,
-                      CompileTelemetry *telemetry)
+template <typename Make>
+const CompileCache::Compiled &
+CompileCache::lookup(Level &level, const std::string &k,
+                     const std::string &name, Make &&make, bool *made)
 {
-    const std::string k = key(workload, machine, options);
-
     std::shared_future<Compiled> future;
     std::shared_ptr<std::promise<Compiled>> fill;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = entries_.find(k);
-        if (it == entries_.end()) {
+        auto it = level.entries.find(k);
+        if (it == level.entries.end()) {
             fill = std::make_shared<std::promise<Compiled>>();
             future = fill->get_future().share();
-            entries_.emplace(k, future);
+            level.entries.emplace(k, future);
         } else {
             future = it->second;
         }
     }
+    if (made)
+        *made = fill != nullptr;
 
     if (fill) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        level.misses.fetch_add(1, std::memory_order_relaxed);
         try {
-            trace::ScopedSpan span("compile", "compile");
-            if (span.armed())
-                span.detail(workload.name);
-            if (fault::enabled())
-                fault::maybeInject("compile");
-            Compiled c;
-            Result<Module> r = compileWorkloadChecked(
-                workload.source, machine, options, &c.telemetry,
-                workload.name);
-            if (!r.ok())
-                r.raise(); // DiagException with the full list
-            c.module = std::make_shared<const Module>(r.take());
-            fill->set_value(std::move(c));
+            fill->set_value(make());
         } catch (...) {
             // A failed compile must not poison the cache: hand the
             // exception to the waiters already parked on this entry,
             // then evict it so later requesters retry instead of
             // replaying a stale failure forever.
-            failures_.fetch_add(1, std::memory_order_relaxed);
+            level.failures.fetch_add(1, std::memory_order_relaxed);
             fill->set_exception(std::current_exception());
             std::lock_guard<std::mutex> lock(mu_);
-            entries_.erase(k);
+            level.entries.erase(k);
         }
     } else {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        level.hits.fetch_add(1, std::memory_order_relaxed);
         // A hit on an entry another worker is still compiling is a
         // wait, and the worker timeline should show it as one.
         if (trace::active() &&
@@ -330,12 +325,58 @@ CompileCache::compile(const Workload &workload,
                 std::future_status::ready) {
             trace::ScopedSpan span("compile-wait", "cache");
             if (span.armed())
-                span.detail(workload.name);
+                span.detail(name);
             future.wait();
         }
     }
+    // Successful entries are never evicted, so the value outlives this
+    // local future.
+    return sharedGet(future); // rethrows a failed compile
+}
 
-    const Compiled &c = sharedGet(future); // rethrows a failed compile
+std::shared_ptr<const Module>
+CompileCache::compile(const Workload &workload,
+                      const MachineConfig &machine,
+                      const CompileOptions &options,
+                      CompileTelemetry *telemetry)
+{
+    const Compiled &c = lookup(
+        machines_, key(workload, machine, options), workload.name, [&] {
+            trace::ScopedSpan span("compile", "compile");
+            if (span.armed())
+                span.detail(workload.name);
+            if (fault::enabled())
+                fault::maybeInject("compile");
+            bool ran_prefix = false;
+            const Compiled &prefix = lookup(
+                prefixes_, prefixKey(workload, options), workload.name,
+                [&] {
+                    Compiled p;
+                    Result<Module> r = compilePrefixChecked(
+                        workload.source, options, &p.telemetry,
+                        workload.name);
+                    if (!r.ok())
+                        r.raise(); // DiagException with the full list
+                    p.module =
+                        std::make_shared<const Module>(r.take());
+                    return p;
+                },
+                &ran_prefix);
+            Compiled out;
+            out.telemetry = prefix.telemetry;
+            // Only the miss that ran the prefix reports its time, so
+            // summed phase times count the work that was done.
+            if (!ran_prefix) {
+                for (PhaseStat &ps : out.telemetry.phases)
+                    ps.wallMs = 0.0;
+            }
+            Module module = *prefix.module;
+            scheduleModule(module, machine, optimizeOptions(options),
+                           &out.telemetry);
+            out.module =
+                std::make_shared<const Module>(std::move(module));
+            return out;
+        });
     if (telemetry)
         *telemetry = c.telemetry;
     return c.module;
@@ -345,7 +386,7 @@ std::size_t
 CompileCache::size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
+    return machines_.entries.size();
 }
 
 void

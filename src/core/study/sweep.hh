@@ -16,12 +16,14 @@
  * append trajectories after the barrier produce byte-identical
  * output regardless of the job count.
  *
- * CompileCache shares compiled Modules between cells: one compilation
- * per distinct (workload, compile options, scheduling-relevant
- * machine parameters) key, concurrency-safe via per-entry futures so
- * two workers never duplicate a compile.  Modules are immutable after
- * compilation and each cell gets its own Interpreter/IssueEngine, so
- * sharing them across threads is safe by construction.
+ * CompileCache shares compiled Modules between cells: one
+ * optimization and register allocation per distinct (workload,
+ * compile options), and one scheduling of it per distinct
+ * scheduling-relevant machine, concurrency-safe via per-entry futures
+ * so two workers never duplicate a compile.  Modules are immutable
+ * after compilation and each cell gets its own Interpreter/
+ * IssueEngine, so sharing them across threads is safe by
+ * construction.
  *
  * Job-count resolution (see defaultSweepJobs): explicit argument >
  * SSIM_JOBS environment variable > std::thread::hardware_concurrency.
@@ -306,18 +308,30 @@ class SweepRunner
 };
 
 /**
- * A concurrency-safe cache of compiled workloads.
+ * A concurrency-safe cache of compiled workloads, in two levels.
  *
- * Keyed by the workload identity (name + source hash), the compile
- * options, and every machine parameter the compiler can observe
- * (issue width, pipeline degree, latency table, functional units,
- * branch-issue policy, register layout) — but *not* the machine's
- * name, so renamed or re-labelled variants of one specification share
- * a compilation.  The first requester compiles; concurrent
- * requesters for the same key block on the entry's future instead of
- * recompiling.  Compile telemetry is captured once on the miss and
+ * Only the list scheduler (and machine validation) reads the
+ * machine: the frontend, the optimizer levels and register
+ * allocation depend on the workload and the compile options alone.
+ * So the cache keeps
+ *   - a prefix level: the allocated, unscheduled module
+ *     (compilePrefixChecked) and its telemetry, keyed by prefixKey()
+ *     = workload identity (name + source hash) + compile options;
+ *   - a machine level: a copy of that module scheduled and numbered
+ *     for one machine (scheduleModule), keyed by key() = prefixKey()
+ *     + every machine parameter the scheduler can observe (issue
+ *     width, pipeline degree, latency table, functional units,
+ *     branch-issue policy, register layout) — but *not* the
+ *     machine's name, so renamed or re-labelled variants of one
+ *     specification share a compilation.
+ * At each level the first requester of a key computes it and
+ * concurrent requesters block on the entry's future instead of
+ * recomputing; a failed entry is evicted so a later request retries.
+ * hits(), misses() and failures() count machine-level lookups.
+ * Compile telemetry is captured once per machine-level miss and
  * handed to every requester, so stats snapshots do not depend on who
- * hit the cache.
+ * hit the cache: the prefix's phase records (with wall time zeroed
+ * when another miss already ran the prefix) followed by "sched".
  */
 class CompileCache
 {
@@ -332,18 +346,31 @@ class CompileCache
             const CompileOptions &options,
             CompileTelemetry *telemetry = nullptr);
 
-    /** The cache key; exposed for tests and diagnostics. */
+    /** The machine-level cache key; exposed for tests and
+     *  diagnostics, and the key of the trace and depgraph caches. */
     static std::string key(const Workload &workload,
                            const MachineConfig &machine,
                            const CompileOptions &options);
+    /** The prefix-level key: key() without its machine fields. */
+    static std::string prefixKey(const Workload &workload,
+                                 const CompileOptions &options);
 
     /** Lookups served from an existing entry. */
-    std::uint64_t hits() const { return hits_.load(); }
+    std::uint64_t hits() const { return machines_.hits.load(); }
     /** Lookups that had to compile. */
-    std::uint64_t misses() const { return misses_.load(); }
+    std::uint64_t misses() const { return machines_.misses.load(); }
     /** Compilations that failed.  Failed entries are evicted (never
      *  cached), so a later request for the same key retries. */
-    std::uint64_t failures() const { return failures_.load(); }
+    std::uint64_t failures() const
+    {
+        return machines_.failures.load();
+    }
+    /** Machine-independent prefixes compiled (prefix-level misses);
+     *  at most misses(). */
+    std::uint64_t prefixMisses() const
+    {
+        return prefixes_.misses.load();
+    }
     /** Distinct compilations held. */
     std::size_t size() const;
 
@@ -357,11 +384,31 @@ class CompileCache
         CompileTelemetry telemetry;
     };
 
+    /** One level's entries and lookup counters. */
+    struct Level
+    {
+        std::map<std::string, std::shared_future<Compiled>> entries;
+        std::atomic<std::uint64_t> hits{0};
+        std::atomic<std::uint64_t> misses{0};
+        std::atomic<std::uint64_t> failures{0};
+    };
+
+    /**
+     * The once-per-key lookup both levels share.  The first requester
+     * of `k` runs `make`; later requesters wait on its future.
+     * `made`, when non-null, tells the caller which it was.  A failed
+     * `make` is handed to the waiters parked on the entry and then
+     * evicted.  Rethrows a failure, each caller its own copy.  The
+     * returned value lives as long as the cache.
+     */
+    template <typename Make>
+    const Compiled &lookup(Level &level, const std::string &k,
+                           const std::string &name, Make &&make,
+                           bool *made = nullptr);
+
     mutable std::mutex mu_;
-    std::map<std::string, std::shared_future<Compiled>> entries_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> failures_{0};
+    Level prefixes_;
+    Level machines_;
 };
 
 } // namespace ilp

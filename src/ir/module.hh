@@ -76,7 +76,7 @@ class Module
      * Number static instructions in layout order (function by
      * function, block by block): instr.pc becomes the profiler's key
      * for per-instruction counters.  Idempotent; called by
-     * optimizeModule() after the last code-changing pass.
+     * scheduleModule() after the last code-changing pass.
      * @return One past the largest assigned pc.
      */
     Pc assignPcs();

@@ -11,7 +11,9 @@ regName(Reg r)
 {
     if (r == kNoReg)
         return "-";
-    return "v" + std::to_string(r);
+    std::string name = "v";
+    name += std::to_string(r);
+    return name;
 }
 
 } // namespace

@@ -124,16 +124,14 @@ CompileTelemetry::exportStats(stats::Group &g) const
 }
 
 void
-optimizeModule(Module &module, const MachineConfig &machine,
-               const OptimizeOptions &options,
+allocateModule(Module &module, const OptimizeOptions &options,
                CompileTelemetry *telemetry)
 {
-    machine.validate();
     // Optimized code may drop or duplicate source locations, but must
     // never invent ones absent from the frontend's output.
     const std::vector<SrcLoc> allowed_locs = collectSourceLocs(module);
     for (auto &func : module.functions()) {
-        SS_ASSERT(!func.allocated, "optimizeModule: module already "
+        SS_ASSERT(!func.allocated, "allocateModule: module already "
                                    "allocated");
 
         if (options.level >= OptLevel::Local) {
@@ -185,8 +183,22 @@ optimizeModule(Module &module, const MachineConfig &machine,
                     static_cast<std::uint64_t>(spilled);
             return spilled;
         });
+    }
+    verifyOrDie(module);
+    verifySourceLocsOrDie(module, allowed_locs);
+}
 
-        if (options.level >= OptLevel::Sched) {
+void
+scheduleModule(Module &module, const MachineConfig &machine,
+               const OptimizeOptions &options,
+               CompileTelemetry *telemetry)
+{
+    machine.validate();
+    // The scheduler only reorders: it must keep the allocated code's
+    // source locations.
+    const std::vector<SrcLoc> allowed_locs = collectSourceLocs(module);
+    if (options.level >= OptLevel::Sched) {
+        for (auto &func : module.functions()) {
             runPhase(telemetry, "sched", func, [&] {
                 scheduleFunction(module, func, machine, options.alias,
                                  telemetry ? &telemetry->sched
@@ -198,6 +210,15 @@ optimizeModule(Module &module, const MachineConfig &machine,
     verifyOrDie(module);
     verifySourceLocsOrDie(module, allowed_locs);
     module.assignPcs();
+}
+
+void
+optimizeModule(Module &module, const MachineConfig &machine,
+               const OptimizeOptions &options,
+               CompileTelemetry *telemetry)
+{
+    allocateModule(module, options, telemetry);
+    scheduleModule(module, machine, options, telemetry);
 }
 
 } // namespace ilp

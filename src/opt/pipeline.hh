@@ -1,9 +1,11 @@
 /**
  * @file
- * The whole optimizer as one call: applies the cumulative Figure 4-8
- * levels, assigns registers, and schedules for a target machine —
- * optionally recording per-phase telemetry (wall time, IR deltas,
- * spills, static schedule fill rate) for the observability layer.
+ * The whole optimizer, in two halves: allocateModule() applies the
+ * cumulative Figure 4-8 levels and assigns registers, which depends
+ * only on the options; scheduleModule() schedules the result for a
+ * target machine.  Both optionally record per-phase telemetry (wall
+ * time, IR deltas, spills, static schedule fill rate) for the
+ * observability layer.
  */
 
 #ifndef SUPERSYM_OPT_PIPELINE_HH
@@ -35,8 +37,9 @@ struct PhaseStat
 
 /**
  * Everything the compile pipeline reports about one compilation.
- * Fill by passing a pointer to optimizeModule() (and, at the driver
- * level, to compileWorkload()); costs nothing when absent.
+ * Fill by passing a pointer to optimizeModule() or its two halves
+ * (and, at the driver level, to compileWorkload()); costs nothing
+ * when absent.
  */
 struct CompileTelemetry
 {
@@ -69,11 +72,28 @@ struct OptimizeOptions
 };
 
 /**
- * Optimize, allocate, and (at OptLevel >= Sched) schedule every
- * function of `module` for `machine`.  After this the module is
- * physical-register code, ready for tracing/timing.  `telemetry`,
- * when non-null, accumulates per-phase wall time and IR deltas.
+ * The machine-independent half of the pipeline: run the optimizer
+ * levels and register allocation on every function of `module`, then
+ * verify it.  Nothing here reads a machine description (the register
+ * split is `options.layout`), so one result serves every machine the
+ * module is later scheduled for.  `telemetry`, when non-null,
+ * accumulates per-phase wall time and IR deltas.
  */
+void allocateModule(Module &module, const OptimizeOptions &options,
+                    CompileTelemetry *telemetry = nullptr);
+
+/**
+ * The machine half: validate `machine`, list-schedule every function
+ * of an allocated module for it (at OptLevel >= Sched; only
+ * `options.level` and `options.alias` are read), verify, and number
+ * the static instructions.  After this the module is ready for
+ * tracing/timing.  Telemetry gets the "sched" phase, last.
+ */
+void scheduleModule(Module &module, const MachineConfig &machine,
+                    const OptimizeOptions &options,
+                    CompileTelemetry *telemetry = nullptr);
+
+/** allocateModule() then scheduleModule(): the whole optimizer. */
 void optimizeModule(Module &module, const MachineConfig &machine,
                     const OptimizeOptions &options,
                     CompileTelemetry *telemetry = nullptr);

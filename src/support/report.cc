@@ -199,8 +199,9 @@ trendSvg(const std::vector<const bench::Point *> &pts)
         svg += "<polyline class=\"line\" points=\"" + line_points +
                "\"/>";
     for (std::size_t i = 0; i < n; ++i) {
-        std::string tip = "#" + std::to_string(i) + ": " +
-                          fmt(pts[i]->value) + " " + pts[i]->unit;
+        std::string tip = "#";
+        tip += std::to_string(i) + ": " + fmt(pts[i]->value) + " " +
+               pts[i]->unit;
         if (pts[i]->meta.isObject()) {
             if (const Json *v = pts[i]->meta.find("version"))
                 if (v->isString())

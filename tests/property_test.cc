@@ -48,9 +48,11 @@ class ProgramGen
         src_ += "func main() : int {\n";
         src_ += "  var int chk = 1;\n";
         for (int i = 0; i < 4; ++i) {
-            locals_.push_back("v" + std::to_string(i));
-            src_ += "  var int v" + std::to_string(i) + " = " +
+            std::string name = "v";
+            name += std::to_string(i);
+            src_ += "  var int " + name + " = " +
                     std::to_string(pick(50)) + ";\n";
+            locals_.push_back(std::move(name));
         }
         src_ += "  var real rsum = 0.5;\n";
 
@@ -118,16 +120,22 @@ class ProgramGen
     std::string
     indexExpr(int size)
     {
-        return "(" + intExpr(1) + " & " + std::to_string(size - 1) +
-               ")";
+        std::string e = "(";
+        e += intExpr(1) + " & " + std::to_string(size - 1) + ")";
+        return e;
     }
 
     std::string
     cmpExpr()
     {
         static const char *ops[] = {"<", "<=", ">", ">=", "==", "!="};
-        return "(" + intExpr(1) + " " + ops[pick(6)] + " " +
-               intExpr(1) + ")";
+        // Drawn right to left, the order the generated programs have
+        // always used.
+        const std::string r = intExpr(1);
+        const char *op = ops[pick(6)];
+        std::string e = "(";
+        e += intExpr(1) + " " + op + " " + r + ")";
+        return e;
     }
 
     void

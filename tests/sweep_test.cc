@@ -1,7 +1,9 @@
 /**
  * Tests for the parallel sweep engine (core/study/sweep.hh) and the
  * run/stats plumbing it hardened: SweepRunner determinism and error
- * propagation, CompileCache keying and hit accounting, parallel==
+ * propagation, CompileCache keying, hit accounting and prefix
+ * sharing (a module scheduled from a shared prefix equals a fresh
+ * compile; failed prefixes are evicted and retried), parallel==
  * serial bit-identity for sweeps/tables/stats, the RunOutcome::ipc
  * zero-cycle guard, non-finite JSON handling, Json::tryParse, and the
  * crash-/concurrency-hardened bench stats trajectory.
@@ -13,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -23,6 +26,7 @@
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
 #include "core/study/sweep.hh"
+#include "ir/printer.hh"
 #include "sim/trap.hh"
 #include "tests/helpers.hh"
 
@@ -337,6 +341,239 @@ TEST(CompileCacheTest, ConcurrentRequestersAllSeeTheFailure)
     });
     EXPECT_EQ(failures.load(), 8);
     EXPECT_EQ(cache.size(), 0u);
+}
+
+// ------------------------------------- CompileCache prefix sharing
+
+/** Per-phase records with wall time left out: everything a shared
+ *  prefix must reproduce exactly. */
+std::string
+phaseSummary(const CompileTelemetry &t)
+{
+    std::ostringstream os;
+    for (const PhaseStat &ps : t.phases) {
+        os << ps.name << ' ' << ps.runs << ' ' << ps.instrsBefore
+           << ' ' << ps.instrsAfter << ' ' << ps.blocksBefore << ' '
+           << ps.blocksAfter << ' ' << ps.changed << '\n';
+    }
+    os << "spills " << t.spills << " sched " << t.sched.blocksScheduled
+       << ' ' << t.sched.blocksSkipped << ' ' << t.sched.slotsFilled
+       << ' ' << t.sched.slotsTotal << '\n';
+    return os.str();
+}
+
+/** One program's compile, printed, or its diagnostics. */
+struct CompiledText
+{
+    std::string text;
+    std::string phases;
+};
+
+CompiledText
+freshCompile(const Workload &w, const MachineConfig &m,
+             const CompileOptions &o)
+{
+    CompileTelemetry t;
+    Result<Module> r =
+        compileWorkloadChecked(w.source, m, o, &t, w.name);
+    if (!r.ok())
+        return {"error: " + r.formatErrors(), ""};
+    return {toString(r.value()), phaseSummary(t)};
+}
+
+CompiledText
+cachedCompile(CompileCache &cache, const Workload &w,
+              const MachineConfig &m, const CompileOptions &o)
+{
+    CompileTelemetry t;
+    try {
+        std::shared_ptr<const Module> mod = cache.compile(w, m, o, &t);
+        return {toString(*mod), phaseSummary(t)};
+    } catch (const DiagException &e) {
+        return {"error: " + formatDiags(e.diags()), ""};
+    }
+}
+
+TEST(CompileCacheTest, SharedPrefixMatchesAFreshCompile)
+{
+    // Option sets per benchmark: the default, the two unoptimized
+    // levels and a small and a large temp file; linpack also gets
+    // careful x10 unrolling with heroic disambiguation.
+    struct Job
+    {
+        const Workload *w;
+        CompileOptions o;
+    };
+    std::vector<Job> jobs;
+    for (const Workload &w : allWorkloads()) {
+        const CompileOptions base = defaultCompileOptions(w);
+        CompileOptions none = base, sched = base, small = base,
+                       large = base;
+        none.level = OptLevel::None;
+        sched.level = OptLevel::Sched;
+        small.layout.numTemp = 6;
+        large.layout.numTemp = 40;
+        for (const CompileOptions &o : {base, none, sched, small, large})
+            jobs.push_back({&w, o});
+        if (w.name == "linpack") {
+            CompileOptions careful = base;
+            careful.unroll.factor = 10;
+            careful.unroll.careful = true;
+            careful.alias = AliasLevel::Heroic;
+            careful.layout.numTemp = 40;
+            jobs.push_back({&w, careful});
+        }
+    }
+    // A taxonomy sample: ideal superscalars, superpipelined, both
+    // CRAY-1 latency tables, MultiTitan and ss8 fenced at branches.
+    MachineConfig fenced = idealSuperscalar(8);
+    fenced.issueAcrossBranches = false;
+    const std::vector<MachineConfig> machines = {
+        idealSuperscalar(1), idealSuperscalar(2), idealSuperscalar(8),
+        superpipelined(2),   cray1(false),        cray1(true),
+        multiTitan(),        fenced};
+
+    CompileCache cache;
+    const std::size_t cells = jobs.size() * machines.size();
+    std::vector<CompiledText> fresh(cells), cached(cells);
+    SweepRunner(4).run(cells, [&](std::size_t i) {
+        const Job &j = jobs[i / machines.size()];
+        const MachineConfig &m = machines[i % machines.size()];
+        fresh[i] = freshCompile(*j.w, m, j.o);
+        cached[i] = cachedCompile(cache, *j.w, m, j.o);
+    });
+    for (std::size_t i = 0; i < cells; ++i) {
+        const Job &j = jobs[i / machines.size()];
+        SCOPED_TRACE(CompileCache::key(
+            *j.w, machines[i % machines.size()], j.o));
+        EXPECT_EQ(cached[i].text, fresh[i].text);
+        EXPECT_EQ(cached[i].phases, fresh[i].phases);
+    }
+    // Machines the scheduler cannot tell apart (CRAY-1 with unit
+    // latencies and ss1) share an entry.
+    std::set<std::string> keys;
+    for (std::size_t i = 0; i < cells; ++i) {
+        keys.insert(CompileCache::key(*jobs[i / machines.size()].w,
+                                      machines[i % machines.size()],
+                                      jobs[i / machines.size()].o));
+    }
+    EXPECT_EQ(cache.prefixMisses(), jobs.size());
+    EXPECT_EQ(cache.misses(), keys.size());
+}
+
+TEST(CompileCacheTest, MachinesSharingOptionsCompileThePrefixOnce)
+{
+    const Workload &w = workloadByName("livermore");
+    const CompileOptions o = defaultCompileOptions(w);
+    CompileCache cache;
+    std::vector<CompileTelemetry> tel(8);
+    SweepRunner(8).run(8, [&](std::size_t i) {
+        cache.compile(w, idealSuperscalar(static_cast<int>(i) + 1), o,
+                      &tel[i]);
+    });
+    EXPECT_EQ(cache.prefixMisses(), 1u);
+    EXPECT_EQ(cache.misses(), 8u);
+    EXPECT_EQ(cache.size(), 8u);
+
+    // Only the miss that ran the prefix reports its phase times; the
+    // machine-level "sched" phase comes last and ran for each.
+    int timed = 0;
+    for (const CompileTelemetry &t : tel) {
+        ASSERT_GE(t.phases.size(), 2u);
+        EXPECT_EQ(t.phases.front().name, "frontend");
+        EXPECT_EQ(t.phases.back().name, "sched");
+        EXPECT_GT(t.phases.back().wallMs, 0.0);
+        double prefix_ms = 0.0;
+        for (std::size_t p = 0; p + 1 < t.phases.size(); ++p)
+            prefix_ms += t.phases[p].wallMs;
+        if (prefix_ms > 0.0)
+            ++timed;
+    }
+    EXPECT_EQ(timed, 1);
+}
+
+TEST(CompileCacheTest, FailedPrefixIsEvictedAndRetried)
+{
+    // A temp file too small for the program fails in the prefix:
+    // every machine-level requester (and waiter) sees the diagnostic,
+    // nothing is cached, and a later request compiles the prefix
+    // again.  (No temps at all, for a program whose one value is
+    // born and used in adjacent instructions, so nothing can spill.)
+    const Workload w{"seven", "returns 7",
+                     "func main() : int { return 7; }", 0, false, 1};
+    CompileOptions tiny;
+    tiny.layout.numTemp = 0;
+    CompileCache cache;
+    std::atomic<int> failed{0};
+    SweepRunner(8).run(8, [&](std::size_t i) {
+        try {
+            cache.compile(w, idealSuperscalar(static_cast<int>(i) + 1),
+                          tiny);
+        } catch (const DiagException &e) {
+            if (e.code() == ErrCode::OptTempRegsExhausted)
+                failed.fetch_add(1);
+        }
+    });
+    EXPECT_EQ(failed.load(), 8);
+    EXPECT_EQ(cache.failures(), 8u);
+    EXPECT_EQ(cache.size(), 0u);
+    const std::uint64_t prefixes = cache.prefixMisses();
+    EXPECT_GE(prefixes, 1u);
+
+    EXPECT_THROW(cache.compile(w, idealSuperscalar(1), tiny),
+                 DiagException);
+    EXPECT_EQ(cache.prefixMisses(), prefixes + 1); // retried
+    EXPECT_EQ(cache.failures(), 9u);
+
+    // The same machines still compile with a workable temp file.
+    const CompileOptions o;
+    for (int n = 1; n <= 8; ++n)
+        EXPECT_NE(cache.compile(w, idealSuperscalar(n), o), nullptr);
+    EXPECT_EQ(cache.prefixMisses(), prefixes + 2);
+    EXPECT_EQ(cache.size(), 8u);
+}
+
+TEST(CompileCacheTest, InjectedCompileFaultNeverPoisonsTheCache)
+{
+    // The compile fault fires at a machine-level miss, before the
+    // prefix lookup: a faulted compile caches nothing at either level,
+    // and its key compiles once the fault clears.
+    const Workload &w = workloadByName("yacc");
+    const CompileOptions o = defaultCompileOptions(w);
+    CompileCache cache;
+    fault::reset();
+    ASSERT_TRUE(fault::configure("compile:trap:1:7"));
+    EXPECT_THROW(cache.compile(w, idealSuperscalar(4), o),
+                 DiagException);
+    EXPECT_EQ(cache.failures(), 1u);
+    EXPECT_EQ(cache.prefixMisses(), 0u);
+    EXPECT_EQ(cache.size(), 0u);
+
+    // At half rate across 8 workers, each machine-level miss either
+    // fails alone or schedules the one shared prefix.
+    ASSERT_TRUE(fault::configure("compile:trap:0.5:11"));
+    std::atomic<int> failed{0};
+    SweepRunner(8).run(16, [&](std::size_t i) {
+        const int n = static_cast<int>(i % 8) + 1;
+        try {
+            cache.compile(w, idealSuperscalar(n), o);
+        } catch (const DiagException &e) {
+            if (e.code() == ErrCode::TrapTransientFault)
+                failed.fetch_add(1);
+        }
+    });
+    fault::reset();
+    EXPECT_EQ(cache.failures(),
+              1u + static_cast<std::uint64_t>(failed.load()));
+    EXPECT_LE(cache.prefixMisses(), 1u);
+
+    for (int n = 1; n <= 8; ++n) {
+        const MachineConfig m = idealSuperscalar(n);
+        EXPECT_EQ(cachedCompile(cache, w, m, o).text,
+                  freshCompile(w, m, o).text);
+    }
+    EXPECT_EQ(cache.prefixMisses(), 1u);
+    EXPECT_EQ(cache.size(), 8u);
 }
 
 // ---------------------------------------- serial == parallel sweeps
